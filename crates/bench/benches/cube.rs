@@ -1,6 +1,6 @@
 //! Microbenchmark: the CUBE operator versus equivalent per-query scans
 //! (the mechanism behind Table 6's "+ Query Merging" row), plus the
-//! dense-grid / hashed-fallback / thread-count matrix of the executor.
+//! executor's dense-grid and hashed-fallback variants.
 //!
 //! For the machine-readable variant (including the frozen seed-executor
 //! baseline) run `cargo run --release -p agg-bench --bin bench_cube`.
@@ -63,10 +63,7 @@ fn bench_cube_vs_naive(c: &mut Criterion) {
             b.iter(|| cube.execute(&db).unwrap());
         });
 
-        // Executor matrix: dense grid vs hashed fallback × scan threads.
-        // Thread counts are *requests*: the executor clamps to the host's
-        // available_parallelism, so on small CI boxes the Nt variants
-        // measure the clamped (possibly sequential) execution.
+        // Executor matrix: dense grid vs hashed fallback.
         let hashed = CubeOptions {
             dense_cell_cap: 0,
             ..CubeOptions::default()
@@ -74,20 +71,10 @@ fn bench_cube_vs_naive(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("cube_hashed_1t", rows), &rows, |b, _| {
             b.iter(|| cube.execute_with(&db, &hashed).unwrap());
         });
-        for threads in [1usize, 2, 4] {
-            let opts = CubeOptions {
-                threads,
-                parallel_row_threshold: 1024,
-                ..CubeOptions::default()
-            };
-            group.bench_with_input(
-                BenchmarkId::new(format!("cube_dense_{threads}t"), rows),
-                &rows,
-                |b, _| {
-                    b.iter(|| cube.execute_with(&db, &opts).unwrap());
-                },
-            );
-        }
+        let dense = CubeOptions::default();
+        group.bench_with_input(BenchmarkId::new("cube_dense_1t", rows), &rows, |b, _| {
+            b.iter(|| cube.execute_with(&db, &dense).unwrap());
+        });
 
         // The equivalent naive workload: every (cat, region) combination
         // (including unrestricted) for both aggregates.

@@ -5,7 +5,7 @@
 //! cargo run --release -p agg-bench --bin bench_cube -- --rows 100000 --out path.json
 //! ```
 //!
-//! Times four executor variants on the synthetic cube workload (the shape
+//! Times three executor variants on the synthetic cube workload (the shape
 //! behind Table 6's "+ Query Merging" row) and writes one JSON document so
 //! the performance trajectory stays comparable across PRs:
 //!
@@ -13,8 +13,7 @@
 //!   (std `HashMap` grid keyed per row, exponential clone-heavy rollup),
 //!   kept here as the fixed baseline;
 //! * `hashed_1t` — the current executor forced onto its hashed fallback;
-//! * `dense_1t` / `dense_4t` — the dense mixed-radix grid, sequential and
-//!   with 4 scan workers.
+//! * `dense_1t` — the dense mixed-radix grid (the CI `bench-gate` input).
 //!
 //! A second, larger corpus (`--block-rows`, default 1M rows, clustered by
 //! category so storage blocks are constant-valued) exercises the
@@ -32,31 +31,34 @@
 //!   cell-by-cell comparison of the two result grids.
 //!
 //! A third family, `partitioned_1t/2t/4t` (the `"partitioned"` array),
-//! runs the full workload over the same 1M-row clustered corpus with the
-//! default fixed-partition span (64 blocks ≈ 128k rows) and 1/2/4
-//! requested scan workers. Partition boundaries are a pure function of row
-//! count — never of worker count — and partition grids merge in ascending
-//! order, so every variant's result grid is **bit-identical**; each entry
-//! carries a `fingerprint` over every addressable cell, plus
+//! runs the full workload over the same 1M-row clustered corpus through the
+//! production fan-out: `run_wave` with 1/2/4 workers stealing the pass's
+//! partition subtasks at the default fixed-partition span (64 blocks ≈ 128k
+//! rows). Partition boundaries are a pure function of row count — never of
+//! worker count — and the partition grids fold in ascending order, so every
+//! variant's result grid is **bit-identical**; each entry carries a
+//! `fingerprint` over every addressable cell, plus
 //! `partitions_scanned`/`partition_merges`, and the run is cross-checked
-//! against a partition-span-1 execution (`partition_size1_fingerprint`).
-//! The top-level `partition_fingerprints_match` flag feeds
-//! `xtask partition-gate`.
+//! against an in-process partition-span-1 execution
+//! (`partition_size1_fingerprint`). The top-level
+//! `partition_fingerprints_match` flag feeds `xtask partition-gate`.
 //!
-//! Every timed variant carries `threads_requested`, `threads_used` (the
-//! scan workers the executor actually ran — smaller on machines with fewer
-//! cores), and their ratio `effective_parallelism`, so JSON readers can
-//! tell a 4-worker measurement from a clamped single-core one rather than
-//! seeing a faked speedup.
+//! Every timed variant carries `threads_requested`, `threads_used` (for the
+//! partitioned family: the distinct workers that actually scanned a
+//! partition of the median-time run — fewer on machines with fewer cores),
+//! and their ratio `effective_parallelism`, so JSON readers can tell a
+//! 4-worker measurement from a single-core one rather than seeing a faked
+//! speedup.
 
 use agg_bench::metrics::median_timed_ns;
 use agg_relational::{
-    Accumulator, AggColumn, AggFunction, CubeOptions, CubeQuery, CubeResult, Database, DimSel,
-    GridMode, JoinedRelation, Table, Value, BLOCK_ROWS,
+    run_wave, Accumulator, AggColumn, AggFunction, CubeOptions, CubeQuery, CubeResult, CubeTask,
+    Database, DimSel, GridMode, JoinedRelation, ScanGroup, Table, Value, BLOCK_ROWS,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const CATS: [&str; 5] = ["alpha", "beta", "gamma", "delta", "epsilon"];
 const REGIONS: [&str; 4] = ["north", "south", "east", "west"];
@@ -257,11 +259,6 @@ struct Variant {
     median_ns: u64,
     rows_per_sec: f64,
     mode: &'static str,
-    threads_requested: u32,
-    /// Scan workers the executor actually ran with (`CubeStats::scan_threads`)
-    /// — on machines with fewer cores than requested, the hardware clamp
-    /// makes this smaller than `threads_requested`.
-    threads_used: u32,
 }
 
 /// A timed run of one cube over the clustered block corpus, carrying the
@@ -295,7 +292,6 @@ struct BlockVariant {
 struct PartVariant {
     name: &'static str,
     threads_requested: u32,
-    threads_used: u32,
     median_ns: u64,
     rows_per_sec: f64,
     rows_scanned: u64,
@@ -410,13 +406,8 @@ fn main() {
         dense_cell_cap: 0,
         ..CubeOptions::default()
     };
-    let dense4_opts = CubeOptions {
-        threads: 4,
-        parallel_row_threshold: 1024,
-        ..CubeOptions::default()
-    };
-    for opts in [&hashed_opts, &dense4_opts] {
-        let r = query.execute_with(&db, opts).unwrap();
+    {
+        let r = query.execute_with(&db, &hashed_opts).unwrap();
         for ci in (0..CATS.len()).map(DimSel::Literal).chain([DimSel::Any]) {
             for ri in (0..REGIONS.len()).map(DimSel::Literal).chain([DimSel::Any]) {
                 for agg in 0..2 {
@@ -430,20 +421,13 @@ fn main() {
         }
     }
 
-    let time_variant = |name, mode, threads_requested: u32, opts: Option<&CubeOptions>| {
-        // The payload rides along from the median-time run itself: the
-        // reported scan_threads comes from a measured execution, not an
-        // extra untimed one.
-        let (median, threads_used) = match opts {
+    let time_variant = |name, mode, opts: Option<&CubeOptions>| {
+        let (median, ()) = match opts {
             Some(opts) => median_timed_ns(samples, || {
-                let result = query.execute_with(&db, opts).unwrap();
-                let scan_threads = result.stats.scan_threads;
-                std::hint::black_box(result);
-                scan_threads
+                std::hint::black_box(query.execute_with(&db, opts).unwrap());
             }),
             None => median_timed_ns(samples, || {
                 std::hint::black_box(seed_execute(&query, &db));
-                1u32
             }),
         };
         Variant {
@@ -451,21 +435,18 @@ fn main() {
             median_ns: median,
             rows_per_sec: rows as f64 / (median as f64 / 1e9),
             mode,
-            threads_requested,
-            threads_used,
         }
     };
 
     let variants = [
-        time_variant("seed_hashmap_1t", "seed-hashmap", 1, None),
-        time_variant("hashed_1t", "hashed", 1, Some(&hashed_opts)),
-        time_variant("dense_1t", "dense", 1, Some(&CubeOptions::default())),
-        time_variant("dense_4t", "dense", 4, Some(&dense4_opts)),
+        time_variant("seed_hashmap_1t", "seed-hashmap", None),
+        time_variant("hashed_1t", "hashed", Some(&hashed_opts)),
+        time_variant("dense_1t", "dense", Some(&CubeOptions::default())),
     ];
 
     // --- the clustered block corpus: zone-map skipping + encoded≡plain ---
-    let block_db = clustered_db(block_rows);
-    let mut plain_db = block_db.clone();
+    let block_db = Arc::new(clustered_db(block_rows));
+    let mut plain_db = (*block_db).clone();
     plain_db.unseal_tables();
 
     let selective = selective_workload(&block_db);
@@ -528,59 +509,53 @@ fn main() {
     // --- partitioned scans over the same 1M-row corpus -------------------
     // The determinism contract under test: partition boundaries are a pure
     // function of row count and span (never worker count) and partition
-    // grids merge in ascending order, so 1/2/4 workers — and a
-    // partition-span-1 run with one partition per storage block — must all
-    // produce bit-identical result grids.
-    let part_opts = |threads: usize| CubeOptions {
-        threads,
-        parallel_row_threshold: 1024,
-        ..CubeOptions::default()
-    };
+    // grids fold in ascending order, so the production fan-out at 1/2/4
+    // workers — and an in-process partition-span-1 run with one partition
+    // per storage block — must all produce bit-identical result grids.
     let size1_fingerprint = {
-        let r = full
-            .execute_with(
-                &block_db,
-                &CubeOptions {
-                    partition_blocks: 1,
-                    ..part_opts(1)
-                },
-            )
-            .unwrap();
-        grid_fingerprint(&full, &r)
+        let span1 = CubeOptions {
+            partition_blocks: 1,
+            ..CubeOptions::default()
+        };
+        grid_fingerprint(&full, &full.execute_with(&block_db, &span1).unwrap())
     };
     let part_variants: Vec<PartVariant> = [1usize, 2, 4]
         .iter()
         .map(|&threads| {
-            let opts = part_opts(threads);
             let name: &'static str = match threads {
                 1 => "partitioned_1t",
                 2 => "partitioned_2t",
                 _ => "partitioned_4t",
             };
             let (median_ns, payload) = median_timed_ns(samples, || {
-                let r = full.execute_with(&block_db, &opts).unwrap();
-                let payload = (
-                    r.stats.scan_threads,
+                let (task, handle) = CubeTask::new(full.clone(), Vec::new());
+                let groups = ScanGroup::fuse(vec![task]);
+                run_wave(
+                    &block_db,
+                    None,
+                    groups,
+                    std::slice::from_ref(&handle),
+                    threads,
+                );
+                let r = handle.into_result().unwrap();
+                (
                     r.stats.rows_scanned,
                     r.stats.partitions_scanned,
                     r.stats.partition_merges,
                     r.stats.partition_parallelism,
                     grid_fingerprint(&full, &r),
-                );
-                std::hint::black_box(r);
-                payload
+                )
             });
-            let (threads_used, rows_scanned, partitions, merges, parallelism, fingerprint) =
+            let (rows_scanned, partitions_scanned, partition_merges, parallelism, fingerprint) =
                 payload;
             PartVariant {
                 name,
                 threads_requested: threads as u32,
-                threads_used,
                 median_ns,
                 rows_per_sec: block_rows as f64 / (median_ns as f64 / 1e9),
                 rows_scanned,
-                partitions_scanned: partitions,
-                partition_merges: merges,
+                partitions_scanned,
+                partition_merges,
                 partition_parallelism: parallelism,
                 fingerprint,
             }
@@ -609,10 +584,6 @@ fn main() {
         "partitioned result grids diverged across worker counts or partition spans"
     );
 
-    let seed_ns = variants[0].median_ns as f64;
-    let dense4_ns = variants[3].median_ns as f64;
-    let speedup = seed_ns / dense4_ns;
-
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(&format!("  \"rows\": {rows},\n"));
@@ -633,12 +604,9 @@ fn main() {
     json.push_str("  \"variants\": [\n");
     for v in variants.iter() {
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"mode\": \"{}\", \"threads_requested\": {}, \"threads_used\": {}, \"effective_parallelism\": {:.2}, \"median_ns\": {}, \"rows_per_sec\": {:.0}}},\n",
+            "    {{\"name\": \"{}\", \"mode\": \"{}\", \"threads_requested\": 1, \"threads_used\": 1, \"effective_parallelism\": 1.00, \"median_ns\": {}, \"rows_per_sec\": {:.0}}},\n",
             v.name,
             v.mode,
-            v.threads_requested,
-            v.threads_used,
-            v.threads_used as f64 / v.threads_requested as f64,
             v.median_ns,
             v.rows_per_sec,
         ));
@@ -680,8 +648,8 @@ fn main() {
             "    {{\"name\": \"{}\", \"threads_requested\": {}, \"threads_used\": {}, \"effective_parallelism\": {:.2}, \"median_ns\": {}, \"rows_per_sec\": {:.0}, \"rows_scanned\": {}, \"partitions_scanned\": {}, \"partition_merges\": {}, \"partition_parallelism\": {}, \"fingerprint\": \"{:016x}\"}}{}\n",
             v.name,
             v.threads_requested,
-            v.threads_used,
-            v.threads_used as f64 / v.threads_requested as f64,
+            v.partition_parallelism,
+            v.partition_parallelism as f64 / v.threads_requested as f64,
             v.median_ns,
             v.rows_per_sec,
             v.rows_scanned,
@@ -697,28 +665,16 @@ fn main() {
         "  \"partition_size1_fingerprint\": \"{size1_fingerprint:016x}\",\n"
     ));
     json.push_str(&format!(
-        "  \"partition_fingerprints_match\": {},\n",
+        "  \"partition_fingerprints_match\": {}\n",
         if partition_fingerprints_match { 1 } else { 0 }
-    ));
-    // Renamed from `speedup_dense4_vs_seed`: "4t" is what was *requested*;
-    // the companion field records the scan workers the measured run
-    // actually used (the hardware clamp makes this 1 on single-core
-    // runners, where the ratio is really a sequential-vs-seed speedup).
-    json.push_str(&format!(
-        "  \"speedup_dense4t_requested_vs_seed\": {speedup:.2},\n"
-    ));
-    json.push_str(&format!(
-        "  \"speedup_measured_at_threads\": {}\n",
-        variants[3].threads_used
     ));
     json.push_str("}\n");
 
     std::fs::write(&out, &json).expect("write BENCH_cube.json");
     print!("{json}");
     eprintln!(
-        "wrote {out} (dense@4t-requested is {speedup:.2}x the seed executor at {} effective worker(s); \
-         selective scan skipped {}/{} blocks)",
-        variants[3].threads_used,
+        "wrote {out} (dense is {:.2}x the seed executor; selective scan skipped {}/{} blocks)",
+        variants[0].median_ns as f64 / variants[2].median_ns as f64,
         block_variants[0].blocks_skipped,
         block_variants[0].blocks_scanned + block_variants[0].blocks_skipped,
     );

@@ -41,7 +41,8 @@
 //!   streaming variants, so the dedup gates hold over the wire too.
 //!
 //! * `partitioned_1t` / `partitioned_2t` / `partitioned_4t` — one checker
-//!   with 1/2/4 **scan** threads verifying a second, much larger corpus
+//!   with `CheckerConfig::threads` = 1/2/4 (the per-wave pool that steals
+//!   partition subtasks) verifying a second, much larger corpus
 //!   (`--partition-rows`, default 1M rows — big enough that every fused
 //!   pass spans multiple fixed 64-block partitions). Where the families
 //!   above parallelize *documents*, these parallelize the *scan itself*:
@@ -571,9 +572,9 @@ fn main() {
                 name,
                 threads_requested: threads as u32,
                 // The parallelism gauge from the median run: distinct
-                // workers that actually scanned partitions — 1 on a
-                // hardware-clamped single-core runner, honestly reported
-                // rather than echoing the request.
+                // workers that actually scanned partitions — often 1 on a
+                // single-core runner, honestly reported rather than
+                // echoing the request.
                 threads_used: c.4.max(1),
                 median_ns,
                 docs_per_sec: part_docs as f64 / (median_ns as f64 / 1e9),

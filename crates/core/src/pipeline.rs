@@ -362,15 +362,6 @@ pub(crate) struct ExecContext<'e> {
     /// fused pass structure and `rows_scanned` — is identical from 1
     /// worker to N (the CI dedup gate). Bundling never changes results.
     pub(crate) bundling: TaskBundling,
-    /// Fuse same-scope cube tasks of one wave into shared scan passes
-    /// ([`CheckerConfig::fuse_scans`]). Purely physical — reports are
-    /// bit-identical either way.
-    pub(crate) fuse: bool,
-    /// Storage blocks per fixed scan partition
-    /// ([`CheckerConfig::partition_blocks`]; 0 disables partitioning).
-    /// Every context over one checker passes the same value, so solo,
-    /// batched, and streaming runs share one partition/merge tree.
-    pub(crate) partition_blocks: usize,
     /// Per-document abort control (streaming deadlines and cancellation).
     /// `None` for solo and batch runs, which always run to completion.
     pub(crate) ctrl: Option<&'e DocControl>,
@@ -502,8 +493,6 @@ impl AggChecker {
                 scheduler: None,
                 threads: self.config.threads,
                 bundling: TaskBundling::Wave,
-                fuse: self.config.fuse_scans,
-                partition_blocks: self.config.partition_blocks,
                 ctrl: None,
                 observer: None,
             },
@@ -618,8 +607,8 @@ impl AggChecker {
                     let mut evaluator = Evaluator::new(&self.db, &self.catalog, cache);
                     evaluator.set_threads(ctx.threads);
                     evaluator.set_bundling(ctx.bundling);
-                    evaluator.set_fusion(ctx.fuse);
-                    evaluator.set_partition_blocks(ctx.partition_blocks);
+                    evaluator.set_fusion(cfg.fuse_scans);
+                    evaluator.set_partition_blocks(cfg.partition_blocks);
                     if let Some(arena) = ctx.arena {
                         evaluator.set_arena(arena);
                     }
@@ -985,8 +974,6 @@ impl BatchVerifier {
                 scheduler: None,
                 threads: self.checker.config.threads,
                 bundling: TaskBundling::Canonical,
-                fuse: self.checker.config.fuse_scans,
-                partition_blocks: self.checker.config.partition_blocks,
                 ctrl: None,
                 observer: None,
             };
@@ -1019,8 +1006,6 @@ impl BatchVerifier {
                                 scheduler: Some(scheduler),
                                 threads: 1,
                                 bundling: TaskBundling::Canonical,
-                                fuse: checker.config.fuse_scans,
-                                partition_blocks: checker.config.partition_blocks,
                                 ctrl: None,
                                 observer: None,
                             };

@@ -858,8 +858,6 @@ fn worker_loop(shared: &Shared) {
                 // worker count and arrival interleaving (the CI dedup
                 // gate's streaming variants).
                 bundling: TaskBundling::Canonical,
-                fuse: checker.config().fuse_scans,
-                partition_blocks: checker.config().partition_blocks,
                 ctrl: Some(&ctrl),
                 observer: observer.as_deref(),
             };

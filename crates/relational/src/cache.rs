@@ -429,7 +429,7 @@ pub struct FlightGuard {
     fulfilled: bool,
     /// A stale resident grid's checkpoint covering this flight's literals,
     /// when one exists: the computer may patch forward from it instead of
-    /// cold-scanning ([`crate::cube::execute_patch_in`]).
+    /// cold-scanning ([`crate::cube::execute_patches_in`]).
     patch: Option<Arc<ScanCheckpoint>>,
 }
 
@@ -1334,7 +1334,7 @@ mod tests {
     #[test]
     fn stale_stamped_slices_never_hit_and_seed_patch_bases() {
         use crate::block::BLOCK_ROWS;
-        use crate::cube::{execute_patch_in, CubeOptions};
+        use crate::cube::{execute_patches_in, CubeOptions};
         let n1 = 2 * BLOCK_ROWS + 300;
         let cats: Vec<Value> = (0..n1).map(|i| ["a", "b"][i % 2].into()).collect();
         let t = Table::from_columns("t", vec![("cat", cats)]).unwrap();
@@ -1377,7 +1377,10 @@ mod tests {
         assert_eq!(guard.rows(), w2);
         let base = guard.patch_base().expect("stale slice seeds a patch base");
         assert_eq!(base.rows(), 2 * BLOCK_ROWS, "span-aligned boundary");
-        let patched = execute_patch_in(&db, &base.clone(), &options, None).unwrap();
+        let patched = execute_patches_in(&db, &[base.as_ref()], &options, None)
+            .unwrap()
+            .pop()
+            .expect("one member");
         assert_eq!(patched.stats.grids_patched, 1);
         assert!(
             patched.stats.rows_scanned < n1 as u64,

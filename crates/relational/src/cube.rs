@@ -28,29 +28,45 @@
 //! it is stable across runs and row counts; [`CubeStats::grid_mode`] records
 //! which path ran for the Table 6 instrumentation.
 //!
-//! Every scan — solo or fused, sequential or parallel — runs over the
-//! same **fixed partitions**: contiguous ranges of storage blocks whose
+//! # One engine: the cube pass
+//!
+//! Every execution is one **cube pass** (`CubePass`): ≥ 1 fused member
+//! cubes, over the ≥ 1 **fixed partitions** of one relation, resuming from
+//! a **checkpoint prefix** — the empty prefix at row 0 for a cold scan, a
+//! [`ScanCheckpoint`] per member for a patch over appended rows. Partition
 //! boundaries are a pure function of the row count and
 //! [`CubeOptions::partition_blocks`] ([`crate::block::partition_ranges`]),
-//! never of worker count. Each partition is scanned into partition-local
-//! grids, and the partition grids are folded in **ascending partition
-//! order** via [`Accumulator::merge`]. Because the partition shape and the
-//! merge order are both worker-independent, the f64 accumulation tree —
-//! and therefore every report, down to the last ulp — is bit-identical
-//! whether the partitions ran on one thread ([`CubeOptions::threads`]
-//! `== 1`), on scoped threads stealing partitions (`threads > 1`), or on
-//! `crate::schedule`'s `CubeScheduler` workers (reached through
-//! `core::evaluate::Evaluator`), and regardless of completion order. The
-//! rollup into all `2^|dims|` dimension subsets is dimension-at-a-time —
-//! every group is merged into at most `|dims|` coarser groups, i.e.
-//! O(d · groups) merges with no intermediate clones (the seed
-//! implementation cloned every finest group `2^d − 1` times).
+//! never of who scans them. Each partition is scanned into partition-local
+//! grids, and exactly one function — `CubePass::fold` — folds the
+//! partition grids onto the prefix in **ascending partition order** via
+//! [`Accumulator::merge`], captures every patchable member's checkpoint
+//! the moment the fold stands on the last span-aligned boundary, finishes
+//! the members and attaches the checkpoints. Its three drivers differ only
+//! in where a partition's grids come from:
 //!
-//! # Fused multi-cube scans
+//! * the in-process driver ([`execute_fused_in`]; a solo
+//!   [`CubeQuery::execute`] is a one-member pass) scans each partition as
+//!   the fold asks for it;
+//! * the patch driver ([`execute_patches_in`]) does the same, starting
+//!   from the members' checkpointed prefix grids, so only the partitions
+//!   at or above the checkpoint boundary are scanned;
+//! * `crate::schedule`'s partition fan-out scans partitions on whichever
+//!   `CubeScheduler` workers steal them, and the last finisher hands the
+//!   deposited grids to the fold. This is the only source of intra-pass
+//!   parallelism.
 //!
-//! [`execute_fused_in`] feeds **many cubes' grids from one row pass**: the
-//! cubes of one scheduling wave that reference the same table scope share
-//! a single scan of the joined relation instead of each paying their own
+//! Because the partition shape, the merge order and the fold are shared,
+//! the f64 accumulation tree — and therefore every report, down to the
+//! last ulp — is the same for a solo run, a fanned-out pass at any worker
+//! count and completion order, and a patched grid versus a cold rescan at
+//! the same watermark. The rollup into all `2^|dims|` dimension subsets is
+//! dimension-at-a-time — every group is merged into at most `|dims|`
+//! coarser groups, i.e. O(d · groups) merges with no intermediate clones
+//! (the seed implementation cloned every finest group `2^d − 1` times).
+//!
+//! A pass feeds **many cubes' grids from one row scan**: the cubes of one
+//! scheduling wave that reference the same table scope share a single scan
+//! of the joined relation instead of each paying their own
 //! (`crate::schedule::ScanGroup`). Fusion is purely physical and preserves
 //! two invariants the pipeline's determinism rests on:
 //!
@@ -58,7 +74,7 @@
 //!   its own dense/hashed decision, and its own accumulator grid, and each
 //!   grid sees the rows in relation order, so a member's f64 accumulation
 //!   sequence (and therefore its [`CubeResult`], down to the last ulp) is
-//!   identical to a solo sequential execution of that cube;
+//!   identical to a one-member pass over that cube;
 //! * **member-order updates** — within each row block the grids are
 //!   updated in member (task-submission) order, so even the side effects
 //!   of a pass are deterministic for any member set.
@@ -67,7 +83,7 @@
 //!
 //! When the scanned relation is a single **sealed** table
 //! ([`crate::table::Table::seal`]) and every dimension is
-//! dictionary-coded, sequential scans run **directly on the compressed
+//! dictionary-coded, partitions are scanned **directly on the compressed
 //! blocks** ([`crate::block`]): each [`crate::block::BLOCK_ROWS`]-row
 //! scan chunk is one
 //! storage block, its zone maps are consulted before any decode, blocks
@@ -167,8 +183,6 @@ pub struct CubeStats {
     pub rows_scanned: u64,
     pub finest_groups: u64,
     pub total_groups: u64,
-    /// Scan worker threads actually used (1 = sequential).
-    pub scan_threads: u32,
     /// Grid representation chosen by the structural decision rule.
     pub grid_mode: GridMode,
     /// Dense-grid cell count (the mixed-radix product); 0 when hashed.
@@ -191,12 +205,11 @@ pub struct CubeStats {
     /// Ascending-order partition-grid merges this member performed
     /// (`partitions_scanned - 1` when partitioned, else 0).
     pub partition_merges: u64,
-    /// Workers that scanned this pass's partitions: 1 for a sequential
-    /// partitioned scan, the scoped worker count for
-    /// [`CubeOptions::threads`] parallelism, the distinct scheduler
-    /// workers for a partition-parallel fused pass, and 0 when the scan
-    /// was not partitioned. A scheduling **gauge** — the only
-    /// [`CubeStats`] field that may vary run to run; results never do.
+    /// Workers that scanned this pass's partitions: 1 for an in-process
+    /// or patch pass, the distinct scheduler workers for a fanned-out
+    /// pass, and 0 when the scan was not partitioned. A scheduling
+    /// **gauge** — the only [`CubeStats`] field that may vary run to run;
+    /// results never do.
     pub partition_parallelism: u32,
     /// 1 when this result was produced by patching a [`ScanCheckpoint`]
     /// forward over appended rows instead of a cold full scan, 0 otherwise.
@@ -207,59 +220,30 @@ pub struct CubeStats {
     pub delta_rows_scanned: u64,
 }
 
-/// Tuning knobs for one cube execution. The defaults match the paper's
-/// workload shape; [`CubeQuery::execute`] uses them unchanged, so existing
-/// call sites keep their behavior.
+/// The scan shape of one cube pass. The defaults match the paper's workload
+/// shape; [`CubeQuery::execute`] uses them unchanged. Both fields are inputs
+/// of the determinism contract: a [`ScanCheckpoint`] only patches under the
+/// options it was captured with ([`ScanCheckpoint::compatible`]).
 #[derive(Debug, Clone, Copy)]
 pub struct CubeOptions {
     /// Maximum mixed-radix product for the dense grid. Cubes above this
     /// fall back to the hashed grid. Setting 0 forces the hashed path
     /// (useful for testing and instrumentation).
     pub dense_cell_cap: usize,
-    /// Worker threads for the scan (clamped to at least 1).
-    pub threads: usize,
-    /// Minimum rows per scan worker: the worker count is capped at
-    /// `rows / parallel_row_threshold`, so relations smaller than twice
-    /// this stay sequential — thread spawn plus grid merge would dominate.
-    pub parallel_row_threshold: usize,
-    /// Cap workers at `std::thread::available_parallelism()` (default).
-    /// Disable to force the requested worker count — oversubscription
-    /// only costs time, so this is mainly for deterministic tests of the
-    /// partition-merge path.
-    pub clamp_to_hardware: bool,
     /// Scan-partition span in storage blocks
     /// ([`crate::block::partition_ranges`]); 0 disables partitioning.
     /// Partition boundaries — and therefore f64 accumulation association —
-    /// are a pure function of row count and this span, so **every** path
-    /// (solo sequential, solo parallel, fused, scheduler fan-out) produces
-    /// bit-identical results for a given span, at any worker count.
+    /// are a pure function of row count and this span, so **every** driver
+    /// (in-process, scheduler fan-out, patch) produces bit-identical
+    /// results for a given span, at any worker count.
     pub partition_blocks: usize,
-    /// Capture a [`ScanCheckpoint`] on eligible scans (identity relation,
-    /// partitioned, patch-class aggregates only) so a later probe at a
-    /// newer watermark can patch the grid forward over just the appended
-    /// rows. Costs one grid clone per eligible scan; never changes results.
-    pub capture_checkpoints: bool,
 }
 
 impl Default for CubeOptions {
     fn default() -> Self {
         CubeOptions {
             dense_cell_cap: 1 << 16,
-            threads: 1,
-            parallel_row_threshold: 4096,
-            clamp_to_hardware: true,
             partition_blocks: crate::block::DEFAULT_PARTITION_BLOCKS,
-            capture_checkpoints: true,
-        }
-    }
-}
-
-impl CubeOptions {
-    /// Sequential execution with `threads` workers requested.
-    pub fn with_threads(threads: usize) -> CubeOptions {
-        CubeOptions {
-            threads,
-            ..CubeOptions::default()
         }
     }
 }
@@ -278,7 +262,7 @@ pub struct CubeResult {
     /// `stats.rows_scanned` on patched results (which scan only the delta).
     visible_rows: u64,
     /// Resumable scan prefix for future watermark patches, when the scan
-    /// was eligible to capture one ([`CubeOptions::capture_checkpoints`]).
+    /// was eligible to capture one (see [`ScanCheckpoint`]).
     /// Behind an `Arc` so cloning the result (cache insertion) stays cheap.
     checkpoint: Option<std::sync::Arc<ScanCheckpoint>>,
 }
@@ -1079,51 +1063,11 @@ impl CubeQuery {
         self.execute_with(db, &CubeOptions::default())
     }
 
-    /// Execute the cube with explicit tuning options.
+    /// Execute the cube with an explicit scan shape: a one-member cube
+    /// pass, so partition shape, merge order, and therefore every f64 bit
+    /// are shared with fused passes by construction.
     pub fn execute_with(&self, db: &Database, options: &CubeOptions) -> Result<CubeResult> {
-        self.execute_in(db, options, None)
-    }
-
-    /// Execute with explicit options, drawing dense-grid buffers from (and
-    /// returning them to) `arena` when one is provided.
-    pub fn execute_in(
-        &self,
-        db: &Database,
-        options: &CubeOptions,
-        arena: Option<&GridArena>,
-    ) -> Result<CubeResult> {
-        let relation = JoinedRelation::for_tables(db, &self.tables_referenced())?;
-        self.execute_on_in(db, &relation, options, arena)
-    }
-
-    /// Execute against a pre-materialized join with default options.
-    pub fn execute_on(&self, db: &Database, relation: &JoinedRelation) -> Result<CubeResult> {
-        self.execute_on_with(db, relation, &CubeOptions::default())
-    }
-
-    /// Execute against a pre-materialized join with explicit options.
-    pub fn execute_on_with(
-        &self,
-        db: &Database,
-        relation: &JoinedRelation,
-        options: &CubeOptions,
-    ) -> Result<CubeResult> {
-        self.execute_on_in(db, relation, options, None)
-    }
-
-    /// The full execution entry point: pre-materialized join, explicit
-    /// options, optional grid arena. A solo execution is a one-member
-    /// fused pass — both drain through `execute_members_on_in`, so the
-    /// partition shape, merge order, and therefore every f64 bit are
-    /// shared by construction.
-    pub fn execute_on_in(
-        &self,
-        db: &Database,
-        relation: &JoinedRelation,
-        options: &CubeOptions,
-        arena: Option<&GridArena>,
-    ) -> Result<CubeResult> {
-        let mut results = execute_members_on_in(db, relation, &[self], options, arena)?;
+        let mut results = execute_fused_in(db, &[self], options, None)?;
         Ok(results.pop().expect("one member, one result"))
     }
 
@@ -1233,15 +1177,12 @@ impl CubeQuery {
 
     /// Turn one finished scan grid into the cube's [`CubeResult`]: extract
     /// finest groups in deterministic order, roll up, finish accumulators.
-    #[allow(clippy::too_many_arguments)]
     fn finish_scan(
         &self,
         grid: MemberGrid,
         plan: &ScanPlan<'_>,
-        n_rows: usize,
-        scan_threads: u32,
         tally: BlockTally,
-        parts: PartitionMeta,
+        shape: PassShape,
         arena: Option<&GridArena>,
     ) -> CubeResult {
         let d = self.dims.len();
@@ -1300,21 +1241,23 @@ impl CubeQuery {
         let finest_groups = finest.len() as u64;
         let (keys, accs_arena) = rollup(finest, d);
 
+        // Single-partition scans are the degenerate monolithic case and
+        // report all-zero partition accounting.
+        let partitioned = shape.partitions > 1;
         let stats = CubeStats {
-            rows_scanned: n_rows as u64,
+            rows_scanned: shape.rows_scanned,
             finest_groups,
             total_groups: accs_arena.len() as u64,
-            scan_threads,
             grid_mode,
             dense_cells,
             blocks_scanned: tally.blocks_scanned,
             blocks_skipped: tally.blocks_skipped,
             bytes_scanned: tally.bytes_scanned,
-            partitions_scanned: parts.partitions_scanned,
-            partition_merges: parts.partition_merges,
-            partition_parallelism: parts.partition_parallelism,
-            grids_patched: 0,
-            delta_rows_scanned: 0,
+            partitions_scanned: if partitioned { shape.partitions } else { 0 },
+            partition_merges: shape.partitions.saturating_sub(1),
+            partition_parallelism: if partitioned { shape.workers } else { 0 },
+            grids_patched: u64::from(shape.patched),
+            delta_rows_scanned: if shape.patched { shape.rows_scanned } else { 0 },
         };
         let groups = keys
             .into_iter()
@@ -1327,7 +1270,7 @@ impl CubeQuery {
             n_aggs: self.aggregates.len(),
             groups,
             stats,
-            visible_rows: n_rows as u64,
+            visible_rows: shape.visible_rows,
             checkpoint: None,
         }
     }
@@ -1439,8 +1382,8 @@ impl EncodedMember<'_> {
     }
 }
 
-/// Execute several cubes over **one shared row pass** (the fused multi-cube
-/// scan): every member must reference exactly the same table scope, the
+/// Execute several cubes as **one cold cube pass** — the in-process
+/// driver: every member must reference exactly the same table scope, the
 /// joined relation is materialized once, and each row is folded into every
 /// member's own grid — per-grid mixed-radix LUTs, per-grid dense/hashed
 /// decision, per-grid [`CubeStats`].
@@ -1448,41 +1391,75 @@ impl EncodedMember<'_> {
 /// Grids are updated in member order within each row block, and each grid
 /// sees the rows in relation order, so every member's accumulation
 /// sequence — and therefore every f64 result — is **bit-identical** to a
-/// solo sequential [`CubeQuery::execute_in`] of that cube. The scan is
-/// always sequential: fused passes draw their parallelism from running
-/// many passes at once (`crate::schedule`), which is what keeps results
-/// independent of worker counts.
+/// one-member pass over that cube ([`CubeQuery::execute_with`]). The
+/// partitions are scanned on the calling thread; parallelism comes from
+/// `crate::schedule` fanning a pass's partitions out to its workers, which
+/// fold through the same `CubePass::fold`.
 pub fn execute_fused_in(
     db: &Database,
     cubes: &[&CubeQuery],
     options: &CubeOptions,
     arena: Option<&GridArena>,
 ) -> Result<Vec<CubeResult>> {
-    let Some(first) = cubes.first() else {
-        return Ok(Vec::new());
-    };
-    let relation = JoinedRelation::for_tables(db, &first.tables_referenced())?;
-    execute_fused_on_in(db, &relation, cubes, options, arena)
+    run_pass(db, cubes, &[], options, arena)
 }
 
-/// [`execute_fused_in`] against a pre-materialized joined relation. As
-/// with [`CubeQuery::execute_on_in`], the caller must pass a relation
-/// joined for the members' table scope; member scope *mutual* equality is
-/// enforced here (a mixed-scope member set would silently index the wrong
-/// table's rows).
-pub fn execute_fused_on_in(
+/// Re-execute checkpointed scans at the database's **current** watermark
+/// by scanning only the delta — the patch driver. The checkpoints must
+/// share one table scope and one prefix shape
+/// (`ScanCheckpoint::fuse_identity`): the fold starts from clones of their
+/// grids (each the fold of every partition below [`ScanCheckpoint::rows`]),
+/// the appended tail is scanned **once**, each row folded into every
+/// member's grid, and the tail partitions merge in ascending order. Because
+/// the fold resumes exactly where a cold pass would stand after its stable
+/// prefix, the patched results are bit-identical to a cold full scan at the
+/// same watermark — down to the last f64 ulp.
+///
+/// Stats describe the **patch work**: `rows_scanned` (and the
+/// `delta_rows_scanned` twin) count only the rescanned tail, block tallies
+/// only the delta's blocks, and `grids_patched` reads 1 per member (the
+/// wave layer charges tail rows once per pass, the same convention cold
+/// passes use); [`CubeResult::visible_rows`] still stamps the full
+/// watermark. Falls back to a cold pass when the checkpoints no longer
+/// apply (shrunken relation, non-identity scope, or changed scan shape).
+pub fn execute_patches_in(
     db: &Database,
-    relation: &JoinedRelation,
-    cubes: &[&CubeQuery],
+    checkpoints: &[&ScanCheckpoint],
     options: &CubeOptions,
     arena: Option<&GridArena>,
 ) -> Result<Vec<CubeResult>> {
-    execute_members_on_in(db, relation, cubes, options, arena)
+    let cubes: Vec<&CubeQuery> = checkpoints.iter().map(|cp| &cp.cube).collect();
+    run_pass(db, &cubes, checkpoints, options, arena)
+}
+
+/// The in-process driver behind [`execute_fused_in`] (`prefix` empty) and
+/// [`execute_patches_in`] (one checkpoint per cube): validate, join once,
+/// and let the fold scan each partition as it reaches it.
+fn run_pass(
+    db: &Database,
+    cubes: &[&CubeQuery],
+    prefix: &[&ScanCheckpoint],
+    options: &CubeOptions,
+    arena: Option<&GridArena>,
+) -> Result<Vec<CubeResult>> {
+    let Some(first) = cubes.first() else {
+        return Ok(Vec::new());
+    };
+    validate_fused(cubes)?;
+    let relation = JoinedRelation::for_tables(db, &first.tables_referenced())?;
+    // A prefix that no longer applies degrades to the empty prefix — a
+    // cold pass over the same members.
+    let applies = prefix.first().is_some_and(|cp| {
+        relation.is_identity() && relation.len() >= cp.rows && cp.compatible(options)
+    });
+    let prefix = if applies { prefix } else { &[] };
+    let pass = CubePass::new(db, &relation, cubes, options, arena);
+    Ok(pass.fold(prefix, 1, |_, range| pass.scan(range)))
 }
 
 /// Validate a fused member set: each member individually, plus mutual
 /// table-scope equality (a mixed-scope member set would silently index the
-/// wrong table's rows). Shared by the in-process fused path and the
+/// wrong table's rows). Shared by the in-process driver and the
 /// scheduler's partition fan-out, which must agree on eligibility.
 pub(crate) fn validate_fused(cubes: &[&CubeQuery]) -> Result<()> {
     let Some(first) = cubes.first() else {
@@ -1502,67 +1479,30 @@ pub(crate) fn validate_fused(cubes: &[&CubeQuery]) -> Result<()> {
     Ok(())
 }
 
-/// Partition accounting of one scan — identical for every member of a pass
-/// (the shape is a pure function of row count and span; only the
-/// parallelism gauge reflects scheduling).
-#[derive(Debug, Clone, Copy, Default)]
-struct PartitionMeta {
-    partitions_scanned: u64,
-    partition_merges: u64,
-    partition_parallelism: u32,
+/// Pass-level accounting — identical for every member of a pass (the shape
+/// is a pure function of row count, span and prefix; only `workers`
+/// reflects scheduling).
+#[derive(Debug, Clone, Copy)]
+struct PassShape {
+    /// Visible rows of the relation: the watermark the results are valid at.
+    visible_rows: u64,
+    /// Rows in the partitions this pass scanned (all of them when cold,
+    /// the tail at or above the checkpoint boundary when patching).
+    rows_scanned: u64,
+    /// Partitions this pass scanned and folded.
+    partitions: u64,
+    /// Distinct workers that scanned them.
+    workers: u32,
+    /// The fold resumed from a checkpoint prefix.
+    patched: bool,
 }
 
-impl PartitionMeta {
-    /// Accounting for a scan over `partitions` fixed partitions executed
-    /// by `workers` distinct workers. Single-partition scans are the
-    /// degenerate monolithic case and report all-zero.
-    fn new(partitions: usize, workers: u32) -> PartitionMeta {
-        if partitions <= 1 {
-            return PartitionMeta::default();
-        }
-        PartitionMeta {
-            partitions_scanned: partitions as u64,
-            partition_merges: (partitions - 1) as u64,
-            partition_parallelism: workers,
-        }
-    }
-}
-
-/// One partition's scan output inside a partition-parallel fused pass:
-/// every member's partition-local grid plus its block counters. Owns no
-/// borrows, so the scheduler can hand finished partitions between workers.
+/// One partition's scan output inside a cube pass: every member's
+/// partition-local grid plus its block counters. Owns no borrows, so the
+/// scheduler can hand finished partitions between workers.
 pub(crate) struct PartitionGrids {
     grids: Vec<MemberGrid>,
     tallies: Vec<BlockTally>,
-}
-
-/// Fresh (arena-pooled) grids for one partition of a fused member set.
-fn new_member_grids(
-    cubes: &[&CubeQuery],
-    plans: &[ScanPlan<'_>],
-    arena: Option<&GridArena>,
-) -> Vec<MemberGrid> {
-    cubes
-        .iter()
-        .zip(plans)
-        .map(|(cube, plan)| match plan.cells {
-            Some(cells) => MemberGrid::Dense(DenseGrid::new_in(cells, &cube.aggregates, arena)),
-            None => MemberGrid::Hashed(HashedGrid::new()),
-        })
-        .collect()
-}
-
-/// Scan one partition of a fused member set into fresh grids.
-fn scan_partition(
-    cubes: &[&CubeQuery],
-    plans: &[ScanPlan<'_>],
-    arena: Option<&GridArena>,
-    range: std::ops::Range<usize>,
-) -> PartitionGrids {
-    let mut grids = new_member_grids(cubes, plans, arena);
-    let mut tallies = vec![BlockTally::default(); cubes.len()];
-    scan_members(range, cubes, plans, &mut grids, &mut tallies);
-    PartitionGrids { grids, tallies }
 }
 
 /// Is `f`'s accumulator patchable — i.e. is folding appended rows onto a
@@ -1611,9 +1551,7 @@ fn capture_member_checkpoints(
     }
 }
 
-/// Fold one partition's grids into the base grids. The caller iterates
-/// partitions in **ascending partition order** — that left-fold is the
-/// determinism contract's merge order, shared by every execution path.
+/// Fold one partition's grids into the base grids.
 fn merge_partition(base: &mut PartitionGrids, part: PartitionGrids, arena: Option<&GridArena>) {
     for ((bg, bt), (pg, pt)) in base
         .grids
@@ -1637,340 +1575,154 @@ fn merge_partition(base: &mut PartitionGrids, part: PartitionGrids, arena: Optio
     }
 }
 
-/// The one execution engine behind solo, fused, and partition-parallel
-/// scans: split the relation into fixed partitions
-/// ([`crate::block::partition_ranges`]), scan each into partition-local
-/// grids, and fold the partition grids in ascending partition order.
-/// `options.threads > 1` scans partitions on scoped workers (stealing from
-/// an atomic partition cursor); the fold is ascending regardless, so the
-/// result is bit-identical to the sequential scan of the same span.
-fn execute_members_on_in(
-    db: &Database,
-    relation: &JoinedRelation,
-    cubes: &[&CubeQuery],
-    options: &CubeOptions,
-    arena: Option<&GridArena>,
-) -> Result<Vec<CubeResult>> {
-    if cubes.is_empty() {
-        return Ok(Vec::new());
-    }
-    validate_fused(cubes)?;
-    let n_rows = relation.len();
-    let plans: Vec<ScanPlan<'_>> = cubes
-        .iter()
-        .map(|cube| cube.scan_plan(db, relation, options.dense_cell_cap))
-        .collect();
-    let ranges = crate::block::partition_ranges(n_rows, options.partition_blocks);
-    let partitions = ranges.len();
-
-    // Parallelize only when every worker gets a meaningful partition, and
-    // never oversubscribe the machine: extra workers on a saturated CPU
-    // only add spawn and merge overhead. Worker count affects *who* scans
-    // a partition, never the partition shape or the merge order.
-    let hardware = if options.clamp_to_hardware {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        usize::MAX
-    };
-    let threads = options
-        .threads
-        .max(1)
-        .min(hardware)
-        .min((n_rows / options.parallel_row_threshold.max(1)).max(1))
-        .min(partitions);
-
-    // Checkpoint capture: clone each patchable member's fold state the
-    // moment the fold crosses the span-aligned boundary, so a future probe
-    // at a newer watermark can resume from there instead of rescanning.
-    // Identity relations only — join outputs are not prefix-stable under
-    // appends (a new probe-side row splices tuples into existing output).
-    let boundary = checkpoint_boundary(n_rows, options.partition_blocks);
-    let capture = options.capture_checkpoints && relation.is_identity() && boundary > 0;
-    let mut captured: Vec<Option<MemberGrid>> = (0..cubes.len()).map(|_| None).collect();
-
-    let base = if threads <= 1 {
-        let mut iter = ranges.into_iter();
-        let first = iter.next().expect("≥1 partition");
-        let mut folded = first.end;
-        let mut base = scan_partition(cubes, &plans, arena, first);
-        if capture && folded == boundary {
-            capture_member_checkpoints(cubes, &base, &mut captured);
-        }
-        for range in iter {
-            folded = range.end;
-            let part = scan_partition(cubes, &plans, arena, range);
-            merge_partition(&mut base, part, arena);
-            if capture && folded == boundary {
-                capture_member_checkpoints(cubes, &base, &mut captured);
-            }
-        }
-        base
-    } else {
-        // Workers steal partitions from an atomic cursor; finished
-        // partitions land in index-addressed slots so the fold below runs
-        // in ascending partition order no matter who finished what when.
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let collected: Vec<Vec<(usize, PartitionGrids)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let (next, ranges, plans) = (&next, &ranges, &plans);
-                    scope.spawn(move || {
-                        let mut done = Vec::new();
-                        loop {
-                            let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(range) = ranges.get(idx) else {
-                                return done;
-                            };
-                            done.push((idx, scan_partition(cubes, plans, arena, range.clone())));
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("cube scan worker"))
-                .collect()
-        });
-        let mut slots: Vec<Option<PartitionGrids>> = (0..partitions).map(|_| None).collect();
-        for (idx, part) in collected.into_iter().flatten() {
-            slots[idx] = Some(part);
-        }
-        let mut slot_iter = slots.into_iter().enumerate();
-        let (_, first) = slot_iter.next().expect("≥1 partition");
-        let mut base = first.expect("partition 0 was scanned");
-        if capture && ranges[0].end == boundary {
-            capture_member_checkpoints(cubes, &base, &mut captured);
-        }
-        for (idx, part) in slot_iter {
-            merge_partition(&mut base, part.expect("every partition scanned"), arena);
-            if capture && ranges[idx].end == boundary {
-                capture_member_checkpoints(cubes, &base, &mut captured);
-            }
-        }
-        base
-    };
-
-    let meta = PartitionMeta::new(partitions, threads as u32);
-    let PartitionGrids { grids, tallies } = base;
-    Ok(cubes
-        .iter()
-        .zip(&plans)
-        .zip(grids)
-        .zip(tallies)
-        .zip(captured)
-        .map(|((((cube, plan), grid), tally), captured)| {
-            let mut result =
-                cube.finish_scan(grid, plan, n_rows, threads as u32, tally, meta, arena);
-            if let Some(grid) = captured {
-                result.checkpoint = Some(std::sync::Arc::new(ScanCheckpoint {
-                    cube: (*cube).clone(),
-                    rows: boundary,
-                    partition_blocks: options.partition_blocks,
-                    dense_cell_cap: options.dense_cell_cap,
-                    grid,
-                }));
-            }
-            result
-        })
-        .collect())
+/// The one execution engine: a validated fused member set
+/// ([`validate_fused`]) over one relation, with the per-member scan plans
+/// built once. [`CubePass::scan`] turns a partition into grids — wherever
+/// a driver chooses to run it — and [`CubePass::fold`] is the only place
+/// those grids are folded, checkpointed and finished.
+pub(crate) struct CubePass<'a> {
+    cubes: &'a [&'a CubeQuery],
+    plans: Vec<ScanPlan<'a>>,
+    n_rows: usize,
+    /// Only identity relations checkpoint: join outputs are not
+    /// prefix-stable under appends (a new probe-side row splices tuples
+    /// into existing output).
+    identity: bool,
+    options: CubeOptions,
+    arena: Option<&'a GridArena>,
 }
 
-/// Scan one partition of a fused member set for the scheduler's
-/// partition-parallel path: plans are rebuilt locally (they borrow `db`,
-/// so they cannot travel with the queued job), the grids come back owned.
-/// The members must already be validated ([`validate_fused`]) and `range`
-/// must be one of [`crate::block::partition_ranges`]' block-aligned ranges.
-pub(crate) fn scan_fused_partition(
-    db: &Database,
-    relation: &JoinedRelation,
-    cubes: &[&CubeQuery],
-    options: &CubeOptions,
-    arena: Option<&GridArena>,
-    range: std::ops::Range<usize>,
-) -> PartitionGrids {
-    let plans: Vec<ScanPlan<'_>> = cubes
-        .iter()
-        .map(|cube| cube.scan_plan(db, relation, options.dense_cell_cap))
-        .collect();
-    scan_partition(cubes, &plans, arena, range)
-}
-
-/// Merge the scheduler's finished partitions — `parts` MUST be in
-/// ascending partition order — and finish every member.
-/// `partition_parallelism` is the number of distinct workers that executed
-/// the partitions (a gauge; it never affects results).
-pub(crate) fn merge_fused_partitions(
-    db: &Database,
-    relation: &JoinedRelation,
-    cubes: &[&CubeQuery],
-    options: &CubeOptions,
-    arena: Option<&GridArena>,
-    parts: Vec<PartitionGrids>,
-    partition_parallelism: u32,
-) -> Vec<CubeResult> {
-    let n_rows = relation.len();
-    let plans: Vec<ScanPlan<'_>> = cubes
-        .iter()
-        .map(|cube| cube.scan_plan(db, relation, options.dense_cell_cap))
-        .collect();
-    let partitions = parts.len();
-    let ranges = crate::block::partition_ranges(n_rows, options.partition_blocks);
-    debug_assert_eq!(ranges.len(), partitions, "parts must cover the relation");
-    let boundary = checkpoint_boundary(n_rows, options.partition_blocks);
-    let capture = options.capture_checkpoints && relation.is_identity() && boundary > 0;
-    let mut captured: Vec<Option<MemberGrid>> = (0..cubes.len()).map(|_| None).collect();
-    let mut iter = parts.into_iter().enumerate();
-    let (_, mut base) = iter.next().expect("≥1 partition");
-    if capture && ranges[0].end == boundary {
-        capture_member_checkpoints(cubes, &base, &mut captured);
-    }
-    for (idx, part) in iter {
-        merge_partition(&mut base, part, arena);
-        if capture && ranges[idx].end == boundary {
-            capture_member_checkpoints(cubes, &base, &mut captured);
+impl<'a> CubePass<'a> {
+    /// Plans borrow `db`, so a pass cannot travel with a queued job: each
+    /// scheduler subtask builds its own over the pinned snapshot.
+    pub(crate) fn new(
+        db: &'a Database,
+        relation: &'a JoinedRelation,
+        cubes: &'a [&'a CubeQuery],
+        options: &CubeOptions,
+        arena: Option<&'a GridArena>,
+    ) -> CubePass<'a> {
+        CubePass {
+            cubes,
+            plans: cubes
+                .iter()
+                .map(|cube| cube.scan_plan(db, relation, options.dense_cell_cap))
+                .collect(),
+            n_rows: relation.len(),
+            identity: relation.is_identity(),
+            options: *options,
+            arena,
         }
     }
-    let meta = PartitionMeta::new(partitions, partition_parallelism);
-    let PartitionGrids { grids, tallies } = base;
-    cubes
-        .iter()
-        .zip(&plans)
-        .zip(grids)
-        .zip(tallies)
-        .zip(captured)
-        .map(|((((cube, plan), grid), tally), captured)| {
-            let mut result = cube.finish_scan(grid, plan, n_rows, 1, tally, meta, arena);
-            if let Some(grid) = captured {
-                result.checkpoint = Some(std::sync::Arc::new(ScanCheckpoint {
-                    cube: (*cube).clone(),
-                    rows: boundary,
-                    partition_blocks: options.partition_blocks,
-                    dense_cell_cap: options.dense_cell_cap,
-                    grid,
-                }));
-            }
-            result
-        })
-        .collect()
-}
 
-/// Re-execute a checkpointed scan at the database's **current** watermark
-/// by scanning only the delta: clone the checkpoint's grid (the fold of
-/// every partition below [`ScanCheckpoint::rows`]), scan the partitions
-/// covering `checkpoint.rows..visible` fresh, and fold them in ascending
-/// order. Because the fold resumes exactly where a cold scan would stand
-/// after its stable prefix, the patched result is bit-identical to a cold
-/// full scan at the same watermark — down to the last f64 ulp.
-///
-/// Stats describe the **patch work**: `rows_scanned` (and the
-/// `delta_rows_scanned` twin) count only the rescanned tail, block
-/// tallies only the delta's blocks, and `grids_patched` reads 1;
-/// [`CubeResult::visible_rows`] still stamps the full watermark. Falls
-/// back to a cold scan when the checkpoint no longer applies (shrunken
-/// relation, non-identity scope, or changed scan shape).
-pub fn execute_patch_in(
-    db: &Database,
-    checkpoint: &ScanCheckpoint,
-    options: &CubeOptions,
-    arena: Option<&GridArena>,
-) -> Result<CubeResult> {
-    let mut results = execute_patches_in(db, &[checkpoint], options, arena)?;
-    Ok(results.pop().expect("one member"))
-}
-
-/// [`execute_patch_in`] for several checkpoints sharing one table scope
-/// and one prefix shape (`ScanCheckpoint::fuse_identity`): the appended
-/// tail is scanned **once**, each row folded into every member's cloned
-/// prefix grid — the delta analogue of [`execute_fused_in`]. Without this,
-/// a wave whose N stale grids all resume from the same boundary would pay
-/// N tail scans for what is physically one.
-///
-/// Each member's result carries the single-patch stats (`grids_patched` =
-/// 1, `rows_scanned`/`delta_rows_scanned` = the shared tail) exactly as if
-/// patched solo; the wave layer charges tail rows once per pass, the same
-/// convention fused cold passes use. Falls back to one fused cold pass
-/// when the checkpoints no longer apply (shrunken relation, non-identity
-/// scope, or changed scan shape).
-pub fn execute_patches_in(
-    db: &Database,
-    checkpoints: &[&ScanCheckpoint],
-    options: &CubeOptions,
-    arena: Option<&GridArena>,
-) -> Result<Vec<CubeResult>> {
-    let Some(first) = checkpoints.first() else {
-        return Ok(Vec::new());
-    };
-    debug_assert!(
-        checkpoints
+    /// Scan one partition — `range` must be one of
+    /// [`crate::block::partition_ranges`]' block-aligned ranges — into
+    /// fresh (arena-pooled) grids.
+    pub(crate) fn scan(&self, range: std::ops::Range<usize>) -> PartitionGrids {
+        let mut grids: Vec<MemberGrid> = self
+            .cubes
             .iter()
-            .all(|cp| cp.fuse_identity() == first.fuse_identity()),
-        "fused patches must share one prefix shape"
-    );
-    let cubes: Vec<&CubeQuery> = checkpoints.iter().map(|cp| &cp.cube).collect();
-    let relation = JoinedRelation::for_tables(db, &cubes[0].tables_referenced())?;
-    let n_rows = relation.len();
-    if !relation.is_identity() || n_rows < first.rows || !first.compatible(options) {
-        return execute_fused_on_in(db, &relation, &cubes, options, arena);
+            .zip(&self.plans)
+            .map(|(cube, plan)| match plan.cells {
+                Some(cells) => {
+                    MemberGrid::Dense(DenseGrid::new_in(cells, &cube.aggregates, self.arena))
+                }
+                None => MemberGrid::Hashed(HashedGrid::new()),
+            })
+            .collect();
+        let mut tallies = vec![BlockTally::default(); self.cubes.len()];
+        scan_members(range, self.cubes, &self.plans, &mut grids, &mut tallies);
+        PartitionGrids { grids, tallies }
     }
-    let plans: Vec<ScanPlan<'_>> = cubes
-        .iter()
-        .map(|cube| cube.scan_plan(db, &relation, first.dense_cell_cap))
-        .collect();
-    let ranges = crate::block::partition_ranges(n_rows, first.partition_blocks);
-    let boundary = checkpoint_boundary(n_rows, first.partition_blocks);
-    let mut base = PartitionGrids {
-        grids: checkpoints.iter().map(|cp| cp.grid.clone()).collect(),
-        tallies: vec![BlockTally::default(); checkpoints.len()],
-    };
-    // The boundary may not have moved (append within the same span): the
-    // refreshed checkpoints are then the old ones, captured before any
-    // merge.
-    let mut captured: Vec<Option<MemberGrid>> = (0..cubes.len()).map(|_| None).collect();
-    if boundary == first.rows {
-        capture_member_checkpoints(&cubes, &base, &mut captured);
-    }
-    let mut delta_rows = 0u64;
-    let mut delta_partitions = 0usize;
-    for range in ranges.iter().filter(|r| r.end > first.rows) {
-        debug_assert!(range.start >= first.rows, "delta is span-aligned");
-        delta_rows += (range.end - range.start) as u64;
-        delta_partitions += 1;
-        let part = scan_partition(&cubes, &plans, arena, range.clone());
-        merge_partition(&mut base, part, arena);
-        if range.end == boundary {
-            capture_member_checkpoints(&cubes, &base, &mut captured);
-        }
-    }
-    let meta = PartitionMeta::new(delta_partitions, 1);
-    let PartitionGrids { grids, tallies } = base;
-    Ok(cubes
-        .iter()
-        .zip(&plans)
-        .zip(grids)
-        .zip(tallies)
-        .zip(captured)
-        .map(|((((cube, plan), grid), tally), captured)| {
-            let mut result =
-                cube.finish_scan(grid, plan, delta_rows as usize, 1, tally, meta, arena);
-            result.visible_rows = n_rows as u64;
-            result.stats.grids_patched = 1;
-            result.stats.delta_rows_scanned = delta_rows;
-            if let Some(grid) = captured {
-                result.checkpoint = Some(std::sync::Arc::new(ScanCheckpoint {
-                    cube: (*cube).clone(),
-                    rows: boundary,
-                    partition_blocks: first.partition_blocks,
-                    dense_cell_cap: first.dense_cell_cap,
-                    grid,
-                }));
+
+    /// Fold the pass: start from `prefix` (one checkpoint per member, all
+    /// resuming from the same boundary under this pass's options; empty
+    /// for a cold pass from row 0), ask `part(index, range)` for the grids
+    /// of every partition at or above the prefix in **ascending partition
+    /// order** — that left-fold is the determinism contract's merge order —
+    /// and merge each onto the running base. Whenever the base stands
+    /// exactly on the last span-aligned boundary, every patchable member's
+    /// state is cloned as its next checkpoint (for a patch whose boundary
+    /// did not move, that is the prefix itself, before any merge). Then
+    /// every member is finished and its checkpoint attached. `workers` is
+    /// the `partition_parallelism` gauge; it never affects results.
+    pub(crate) fn fold(
+        &self,
+        prefix: &[&ScanCheckpoint],
+        workers: u32,
+        mut part: impl FnMut(usize, std::ops::Range<usize>) -> PartitionGrids,
+    ) -> Vec<CubeResult> {
+        debug_assert!(
+            prefix.is_empty() || prefix.len() == self.cubes.len(),
+            "one checkpoint per member, or none"
+        );
+        debug_assert!(
+            prefix
+                .iter()
+                .all(|cp| cp.fuse_identity() == prefix[0].fuse_identity()),
+            "fused patches must share one prefix shape"
+        );
+        let span = self.options.partition_blocks;
+        let boundary = checkpoint_boundary(self.n_rows, span);
+        let capture = self.identity && boundary > 0;
+        let mut captured: Vec<Option<MemberGrid>> = self.cubes.iter().map(|_| None).collect();
+        let resume = prefix.first().map_or(0, |cp| cp.rows);
+        let mut folded = resume;
+        let mut base = (!prefix.is_empty()).then(|| PartitionGrids {
+            grids: prefix.iter().map(|cp| cp.grid.clone()).collect(),
+            tallies: vec![BlockTally::default(); prefix.len()],
+        });
+        let mut shape = PassShape {
+            visible_rows: self.n_rows as u64,
+            rows_scanned: 0,
+            partitions: 0,
+            workers,
+            patched: base.is_some(),
+        };
+        let mut todo = crate::block::partition_ranges(self.n_rows, span)
+            .into_iter()
+            .enumerate()
+            .filter(|(_, range)| range.start >= resume);
+        loop {
+            if capture && folded == boundary {
+                if let Some(base) = &base {
+                    capture_member_checkpoints(self.cubes, base, &mut captured);
+                }
             }
-            result
-        })
-        .collect())
+            let Some((idx, range)) = todo.next() else {
+                break;
+            };
+            folded = range.end;
+            shape.rows_scanned += range.len() as u64;
+            shape.partitions += 1;
+            let grids = part(idx, range);
+            match &mut base {
+                Some(base) => merge_partition(base, grids, self.arena),
+                None => base = Some(grids),
+            }
+        }
+        let PartitionGrids { grids, tallies } = base.expect("a cold pass has ≥ 1 partition");
+        (self.cubes.iter().zip(&self.plans))
+            .zip(grids.into_iter().zip(tallies))
+            .zip(captured)
+            .map(|(((cube, plan), (grid, tally)), captured)| {
+                let mut result = cube.finish_scan(grid, plan, tally, shape, self.arena);
+                result.checkpoint = captured.map(|grid| {
+                    std::sync::Arc::new(ScanCheckpoint {
+                        cube: (*cube).clone(),
+                        rows: boundary,
+                        partition_blocks: span,
+                        dense_cell_cap: self.options.dense_cell_cap,
+                        grid,
+                    })
+                });
+                result
+            })
+            .collect()
+    }
 }
 
-/// The sequential scan driver shared by solo executions (`threads <= 1`)
-/// and fused multi-cube passes: one pass over `0..n_rows` in
+/// The row loop of [`CubePass::scan`]: one sweep over a partition's rows in
 /// [`SCAN_BLOCK`]-row chunks, each chunk folded into every member's grid
 /// in member order before moving on (touched cells of all grids stay hot
 /// while the chunk's column values are still in cache).
@@ -1979,10 +1731,10 @@ pub fn execute_patches_in(
 /// [`EncodedMember`] plan scan the compressed block —
 /// [`DenseGrid::scan_block_encoded`] consults its zone maps and either
 /// bulk-applies, splats, or decodes it — while everything else takes the
-/// plain [`DenseGrid::scan_block`] / [`HashedGrid::scan`] path. Because
-/// solo and fused scans share this driver, a member's per-block decisions
-/// (and therefore its [`CubeStats`] block counters) are identical in both,
-/// which the fused≡solo stats equality tests pin.
+/// plain [`DenseGrid::scan_block`] / [`HashedGrid::scan`] path. A member's
+/// per-block decisions (and therefore its [`CubeStats`] block counters) do
+/// not depend on which other members share the pass, which the fused≡solo
+/// stats equality tests pin.
 fn scan_members(
     rows: std::ops::Range<usize>,
     cubes: &[&CubeQuery],
@@ -2165,7 +1917,39 @@ mod tests {
     use super::*;
     use crate::exec::execute_query;
     use crate::query::{Predicate, SimpleAggregateQuery};
+    use crate::schedule::{run_wave, CubeTask, ScanGroup};
     use crate::table::Table;
+    use std::sync::Arc;
+
+    /// Run `cubes` as one fused cold pass through the production fan-out:
+    /// [`run_wave`] with `threads` workers stealing partition subtasks.
+    fn wave_pass(
+        db: &Arc<Database>,
+        cubes: &[&CubeQuery],
+        partition_blocks: usize,
+        threads: usize,
+        arena: Option<&GridArena>,
+    ) -> Vec<Arc<CubeResult>> {
+        let (tasks, handles): (Vec<_>, Vec<_>) = cubes
+            .iter()
+            .map(|cube| CubeTask::new((*cube).clone(), Vec::new()))
+            .unzip();
+        let mut groups = ScanGroup::fuse(tasks);
+        for group in &mut groups {
+            group.set_partition_blocks(partition_blocks);
+        }
+        run_wave(db, arena, groups, &handles, threads);
+        handles
+            .into_iter()
+            .map(|handle| handle.into_result().unwrap())
+            .collect()
+    }
+
+    /// Patch one checkpoint forward to `db`'s current watermark.
+    fn patch_one(db: &Database, cp: &ScanCheckpoint, options: &CubeOptions) -> CubeResult {
+        let mut results = execute_patches_in(db, &[cp], options, None).unwrap();
+        results.pop().expect("one member")
+    }
 
     /// Figure 2's data set, as in the exec tests.
     fn nfl() -> Database {
@@ -2250,37 +2034,8 @@ mod tests {
                 },
             ),
             (
-                "dense-4t",
-                CubeOptions {
-                    threads: 4,
-                    parallel_row_threshold: 1,
-                    clamp_to_hardware: false,
-                    ..CubeOptions::default()
-                },
-            ),
-            (
-                "hashed-4t",
-                CubeOptions {
-                    dense_cell_cap: 0,
-                    threads: 4,
-                    parallel_row_threshold: 1,
-                    clamp_to_hardware: false,
-                    ..CubeOptions::default()
-                },
-            ),
-            (
                 "dense-1p",
                 CubeOptions {
-                    partition_blocks: 1,
-                    ..CubeOptions::default()
-                },
-            ),
-            (
-                "dense-4t-1p",
-                CubeOptions {
-                    threads: 4,
-                    parallel_row_threshold: 1,
-                    clamp_to_hardware: false,
                     partition_blocks: 1,
                     ..CubeOptions::default()
                 },
@@ -2379,7 +2134,6 @@ mod tests {
         assert_eq!(dense.stats.grid_mode, GridMode::Dense);
         // radices: (1 literal + OTHER) × (2 literals + OTHER) = 6 cells.
         assert_eq!(dense.stats.dense_cells, 6);
-        assert_eq!(dense.stats.scan_threads, 1);
 
         let hashed = q
             .execute_with(
@@ -2393,16 +2147,6 @@ mod tests {
         assert_eq!(hashed.stats.grid_mode, GridMode::Hashed);
         assert_eq!(hashed.stats.dense_cells, 0);
         assert_eq!(hashed.stats.total_groups, dense.stats.total_groups);
-    }
-
-    #[test]
-    fn small_relations_stay_sequential() {
-        let db = nfl();
-        let r = nfl_cube_query(&db)
-            .execute_with(&db, &CubeOptions::with_threads(8))
-            .unwrap();
-        // 6 rows is far below the parallel threshold.
-        assert_eq!(r.stats.scan_threads, 1);
     }
 
     #[test]
@@ -2538,16 +2282,17 @@ mod tests {
         let q = nfl_cube_query(&db);
         let arena = GridArena::new();
         let plain = q.execute(&db).unwrap();
-        let first = q
-            .execute_in(&db, &CubeOptions::default(), Some(&arena))
-            .unwrap();
+        let run = || {
+            let mut results =
+                execute_fused_in(&db, &[&q], &CubeOptions::default(), Some(&arena)).unwrap();
+            results.pop().unwrap()
+        };
+        let first = run();
         let after_first = arena.stats();
         // Count + touched go through the pool; Sum/Avg add floats+counts.
         assert!(after_first.allocations > 0);
         assert_eq!(after_first.reuses, 0);
-        let second = q
-            .execute_in(&db, &CubeOptions::default(), Some(&arena))
-            .unwrap();
+        let second = run();
         let after_second = arena.stats();
         // Every buffer the second run needed came back from the first run.
         assert_eq!(after_second.allocations, after_first.allocations);
@@ -2577,30 +2322,28 @@ mod tests {
         let t = Table::from_columns("big", vec![("cat", cats)]).unwrap();
         let mut db = Database::new("big");
         db.add_table(t);
+        let db = Arc::new(db);
         let cat = db.resolve("big", "cat").unwrap();
         let q = CubeQuery {
             dims: vec![cat],
             relevant: vec![vec!["a".into(), "b".into()]],
             aggregates: vec![(AggFunction::Count, AggColumn::Star)],
         };
-        let opts = CubeOptions {
-            threads: 4,
-            parallel_row_threshold: 1024,
-            clamp_to_hardware: false,
-            // 10k rows / 2048-row partitions → 5 partitions for 4 workers.
-            partition_blocks: 1,
-            ..CubeOptions::default()
-        };
+        // 10k rows / 2048-row partitions → 5 partition subtasks stolen by
+        // 4 workers sharing one arena.
         let arena = GridArena::new();
         let seq = q.execute(&db).unwrap();
-        let r1 = q.execute_in(&db, &opts, Some(&arena)).unwrap();
-        assert_eq!(r1.stats.scan_threads, 4);
+        let r1 = wave_pass(&db, &[&q], 1, 4, Some(&arena)).pop().unwrap();
         assert_eq!(r1.stats.partitions_scanned, 5, "{:?}", r1.stats);
         assert_eq!(r1.stats.partition_merges, 4, "{:?}", r1.stats);
-        assert_eq!(r1.stats.partition_parallelism, 4, "{:?}", r1.stats);
+        assert!(
+            (1..=4).contains(&r1.stats.partition_parallelism),
+            "{:?}",
+            r1.stats
+        );
         let first_allocs = arena.stats().allocations;
         assert!(first_allocs >= 4, "one grid per partition");
-        let r2 = q.execute_in(&db, &opts, Some(&arena)).unwrap();
+        let r2 = wave_pass(&db, &[&q], 1, 4, Some(&arena)).pop().unwrap();
         // The second execution is served entirely from the pool.
         assert_eq!(arena.stats().allocations, first_allocs);
         assert_eq!(arena.stats().reuses, first_allocs);
@@ -2740,55 +2483,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_scan_partitions_large_relations() {
-        // A relation big enough to clear the parallel threshold.
-        let n = 10_000usize;
-        let cats: Vec<Value> = (0..n)
-            .map(|i| Value::Str(["a", "b", "c"][i % 3].into()))
-            .collect();
-        let nums: Vec<Value> = (0..n).map(|i| Value::Int((i % 97) as i64)).collect();
-        let t = Table::from_columns("big", vec![("cat", cats), ("num", nums)]).unwrap();
-        let mut db = Database::new("big");
-        db.add_table(t);
-        let cat = db.resolve("big", "cat").unwrap();
-        let num = db.resolve("big", "num").unwrap();
-        let q = CubeQuery {
-            dims: vec![cat],
-            relevant: vec![vec!["a".into(), "b".into()]],
-            aggregates: vec![
-                (AggFunction::Count, AggColumn::Star),
-                (AggFunction::Sum, AggColumn::Column(num)),
-                (AggFunction::CountDistinct, AggColumn::Column(num)),
-            ],
-        };
-        let seq = q.execute(&db).unwrap();
-        let par = q
-            .execute_with(
-                &db,
-                &CubeOptions {
-                    threads: 4,
-                    parallel_row_threshold: 1024,
-                    clamp_to_hardware: false,
-                    partition_blocks: 1,
-                    ..CubeOptions::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(par.stats.scan_threads, 4, "{:?}", par.stats);
-        for sel in [DimSel::Any, DimSel::Literal(0), DimSel::Literal(1)] {
-            for agg in 0..3 {
-                assert_eq!(seq.get(&[sel], agg), par.get(&[sel], agg), "{sel:?}/{agg}");
-            }
-        }
-    }
-
     /// The determinism contract itself: the same fixed partition shape and
-    /// ascending merge order run everywhere, so a parallel partitioned
-    /// scan is **bit-identical** (groups and accumulators, not just
-    /// approximately equal) to the sequential scan of the same partitions
-    /// — and a single-partition scan of f64 data only *happens* to match
-    /// here because the corpus sums are integer-exact in f64.
+    /// the one ascending fold run everywhere, so a pass fanned out over any
+    /// number of workers is **bit-identical** (groups and accumulators, not
+    /// just approximately equal) to the in-process pass over the same
+    /// partitions.
     #[test]
     fn partitioned_scans_are_bit_identical_across_threads() {
         let n = 10_000usize;
@@ -2799,6 +2498,7 @@ mod tests {
         let t = Table::from_columns("big", vec![("cat", cats), ("num", nums)]).unwrap();
         let mut db = Database::new("big");
         db.add_table(t);
+        let db = Arc::new(db);
         let cat = db.resolve("big", "cat").unwrap();
         let num = db.resolve("big", "num").unwrap();
         let q = CubeQuery {
@@ -2809,26 +2509,20 @@ mod tests {
                 (AggFunction::Avg, AggColumn::Column(num)),
             ],
         };
-        let runs: Vec<CubeResult> = [1usize, 2, 4, 8]
-            .iter()
-            .map(|&threads| {
-                q.execute_with(
-                    &db,
-                    &CubeOptions {
-                        threads,
-                        parallel_row_threshold: 1,
-                        clamp_to_hardware: false,
-                        partition_blocks: 1,
-                        ..CubeOptions::default()
-                    },
-                )
-                .unwrap()
-            })
-            .collect();
-        for r in &runs[1..] {
-            assert_eq!(r.groups, runs[0].groups);
-            assert_eq!(r.stats.partitions_scanned, runs[0].stats.partitions_scanned);
-            assert_eq!(r.stats.partition_merges, runs[0].stats.partition_merges);
+        let span1 = CubeOptions {
+            partition_blocks: 1,
+            ..CubeOptions::default()
+        };
+        let in_process = q.execute_with(&db, &span1).unwrap();
+        assert_eq!(in_process.stats.partitions_scanned, 5);
+        for threads in [1usize, 2, 4, 8] {
+            let r = wave_pass(&db, &[&q], 1, threads, None).pop().unwrap();
+            assert_eq!(r.groups, in_process.groups, "{threads} workers");
+            assert_eq!(
+                r.stats.partitions_scanned,
+                in_process.stats.partitions_scanned
+            );
+            assert_eq!(r.stats.partition_merges, in_process.stats.partition_merges);
         }
     }
 
@@ -3178,7 +2872,7 @@ mod tests {
         let n2 = n1 + 500;
 
         let cold = q.execute_with(&db, &options).unwrap();
-        let patched = execute_patch_in(&db, &cp, &options, None).unwrap();
+        let patched = patch_one(&db, &cp, &options);
         assert_eq!(grid_bits(&patched), grid_bits(&cold));
         assert_eq!(patched.visible_rows(), n2 as u64);
         assert_eq!(patched.stats.grids_patched, 1);
@@ -3209,7 +2903,7 @@ mod tests {
         let batch2: Vec<Vec<Value>> = (n2..n2 + 77).map(wide_row).collect();
         db.append_rows("events", &batch2).unwrap();
         let cold2 = q.execute_with(&db, &options).unwrap();
-        let patched2 = execute_patch_in(&db, &cp2, &options, None).unwrap();
+        let patched2 = patch_one(&db, &cp2, &options);
         assert_eq!(grid_bits(&patched2), grid_bits(&cold2));
     }
 
@@ -3232,7 +2926,7 @@ mod tests {
         let batch: Vec<Vec<Value>> = (n..n + 10).map(wide_row).collect();
         db.append_rows("events", &batch).unwrap();
         let cold = q.execute_with(&db, &options).unwrap();
-        let patched = execute_patch_in(&db, &cp, &options, None).unwrap();
+        let patched = patch_one(&db, &cp, &options);
         assert_eq!(patched.stats.delta_rows_scanned, 10);
         assert_eq!(grid_bits(&patched), grid_bits(&cold));
     }
@@ -3349,31 +3043,140 @@ mod tests {
             .is_none());
 
         let db = wide_db(3 * BLOCK_ROWS);
-        // Capture disabled by options.
-        let off = CubeOptions {
-            capture_checkpoints: false,
-            ..opts1
-        };
-        assert!(q.execute_with(&db, &off).unwrap().checkpoint().is_none());
         // Partitioning disabled: one monolithic range, no span boundary.
         let mono = CubeOptions {
             partition_blocks: 0,
             ..CubeOptions::default()
         };
         assert!(q.execute_with(&db, &mono).unwrap().checkpoint().is_none());
-        // Compatibility is keyed on the scan shape, not the worker count.
+        // Compatibility is keyed on the scan shape.
         let r = q.execute_with(&db, &opts1).unwrap();
         let cp = r.checkpoint().unwrap();
         assert_eq!(cp.rows(), 3 * BLOCK_ROWS);
         assert!(cp.compatible(&opts1));
-        assert!(cp.compatible(&CubeOptions {
-            threads: 8,
+        assert!(!cp.compatible(&CubeOptions {
+            dense_cell_cap: 0,
             ..opts1
         }));
         assert!(!cp.compatible(&CubeOptions {
             partition_blocks: 2,
             ..opts1
         }));
+    }
+
+    /// One engine, every driver: the same fused member set — a dense and a
+    /// hashed patch-class member plus a dense `CountDistinct` member — over
+    /// a 3-span relation must come out of the in-process driver, the
+    /// scheduler fan-out at 1/2/4 workers, and (for the patch-class
+    /// members) the patch driver with bit-equal grids and equal checkpoint
+    /// boundaries; cold drivers also agree on every [`CubeStats`] field
+    /// but the `partition_parallelism` gauge.
+    #[test]
+    fn every_driver_folds_the_same_pass() {
+        let n0 = 2 * BLOCK_ROWS + 300;
+        let mut db = wide_db(n0);
+        let cat = db.resolve("events", "cat").unwrap();
+        let val = db.resolve("events", "val").unwrap();
+        let dense = wide_cube(&db);
+        // 41³ cells exceed the default dense cap: structurally hashed.
+        let many: Vec<Value> = (0..40).map(|i| Value::Str(format!("c{i}"))).collect();
+        let hashed = CubeQuery {
+            dims: vec![cat; 3],
+            relevant: vec![many; 3],
+            aggregates: vec![
+                (AggFunction::Count, AggColumn::Star),
+                (AggFunction::Sum, AggColumn::Column(val)),
+            ],
+        };
+        let distinct = CubeQuery {
+            dims: vec![cat],
+            relevant: vec![vec!["c1".into()]],
+            aggregates: vec![(AggFunction::CountDistinct, AggColumn::Column(val))],
+        };
+        let members = [&dense, &hashed, &distinct];
+        let options = CubeOptions {
+            partition_blocks: 1,
+            ..CubeOptions::default()
+        };
+        let ungauged = |r: &CubeResult| CubeStats {
+            partition_parallelism: 0,
+            ..r.stats
+        };
+        let boundary = |r: &CubeResult| r.checkpoint().map(|cp| cp.rows());
+
+        // (rows appended before the step, expected checkpoint boundary):
+        // the cold start, an append inside the tail span, one crossing spans.
+        let steps = [
+            (0, 2 * BLOCK_ROWS),
+            (200, 2 * BLOCK_ROWS),
+            (2 * BLOCK_ROWS, 4 * BLOCK_ROWS),
+        ];
+        let mut rows_total = n0;
+        let mut prefix: Vec<Arc<ScanCheckpoint>> = Vec::new();
+        for (appended, expect_boundary) in steps {
+            let batch: Vec<Vec<Value>> =
+                (rows_total..rows_total + appended).map(wide_row).collect();
+            db.append_rows("events", &batch).unwrap();
+            rows_total += appended;
+
+            let reference = execute_fused_in(&db, &members, &options, None).unwrap();
+            assert_eq!(reference[0].stats.grid_mode, GridMode::Dense);
+            assert_eq!(reference[1].stats.grid_mode, GridMode::Hashed);
+            assert_eq!(boundary(&reference[0]), Some(expect_boundary));
+            assert_eq!(boundary(&reference[1]), Some(expect_boundary));
+            assert_eq!(boundary(&reference[2]), None, "CountDistinct recomputes");
+
+            let snapshot = Arc::new(db.clone());
+            for threads in [1usize, 2, 4] {
+                let fanned = wave_pass(&snapshot, &members, 1, threads, None);
+                for (got, want) in fanned.iter().zip(&reference) {
+                    assert_eq!(grid_bits(got), grid_bits(want), "run_wave {threads}t");
+                    assert_eq!(boundary(got), boundary(want), "run_wave {threads}t");
+                    assert_eq!(ungauged(got), ungauged(want), "run_wave {threads}t");
+                }
+            }
+
+            if !prefix.is_empty() {
+                let resume = prefix[0].rows();
+                let refs: Vec<&ScanCheckpoint> = prefix.iter().map(Arc::as_ref).collect();
+                let patched = execute_patches_in(&db, &refs, &options, None).unwrap();
+                for (got, want) in patched.iter().zip(&reference) {
+                    assert_eq!(grid_bits(got), grid_bits(want), "patch from {resume}");
+                    assert_eq!(boundary(got), boundary(want), "patch from {resume}");
+                    assert_eq!(got.visible_rows(), want.visible_rows());
+                    let tail = (rows_total - resume) as u64;
+                    // A one-partition tail is the degenerate monolithic
+                    // scan: it reports no partition activity.
+                    let parts = tail.div_ceil(BLOCK_ROWS as u64);
+                    assert_eq!(
+                        ungauged(got),
+                        CubeStats {
+                            rows_scanned: tail,
+                            delta_rows_scanned: tail,
+                            grids_patched: 1,
+                            partitions_scanned: if parts > 1 { parts } else { 0 },
+                            partition_merges: parts - 1,
+                            blocks_scanned: got.stats.blocks_scanned,
+                            blocks_skipped: got.stats.blocks_skipped,
+                            bytes_scanned: got.stats.bytes_scanned,
+                            ..ungauged(want)
+                        },
+                        "patch from {resume}"
+                    );
+                }
+                // Patched results re-checkpoint: the next step resumes from
+                // what this one captured.
+                prefix = patched
+                    .iter()
+                    .map(|r| r.checkpoint().expect("patch re-captures").clone())
+                    .collect();
+            } else {
+                prefix = reference[..2]
+                    .iter()
+                    .map(|r| r.checkpoint().expect("patch-class member").clone())
+                    .collect();
+            }
+        }
     }
 
     proptest! {
@@ -3394,24 +3197,28 @@ mod tests {
             let threads = [1usize, 2, 4, 8][worker_sel];
             let options = CubeOptions {
                 partition_blocks: span_blocks,
-                threads,
-                parallel_row_threshold: 1,
-                clamp_to_hardware: false,
                 ..CubeOptions::default()
             };
+            // Cold rescans go through the production fan-out at `threads`
+            // workers; patches resume in-process, as the scheduler runs them.
+            let cold_scan = |db: &Database| {
+                let snapshot = Arc::new(db.clone());
+                wave_pass(&snapshot, &[&wide_cube(db)], span_blocks, threads, None)
+                    .pop()
+                    .unwrap()
+            };
             let mut db = wide_db(base);
-            let q = wide_cube(&db);
-            let mut current = q.execute_with(&db, &options).unwrap();
+            let mut current = cold_scan(&db);
             let mut rows_total = base;
             for batch in batches {
                 let rows: Vec<Vec<Value>> =
                     (rows_total..rows_total + batch).map(wide_row).collect();
                 rows_total += batch;
                 db.append_rows("events", &rows).unwrap();
-                let cold = q.execute_with(&db, &options).unwrap();
+                let cold = cold_scan(&db);
                 let patched = match current.checkpoint() {
                     Some(cp) => {
-                        let p = execute_patch_in(&db, cp, &options, None).unwrap();
+                        let p = patch_one(&db, cp, &options);
                         prop_assert_eq!(p.stats.grids_patched, 1);
                         // The delta never exceeds the appended rows plus one
                         // (partially re-scanned) span.
@@ -3421,10 +3228,10 @@ mod tests {
                             "delta {} for batch {} at span {}",
                             p.stats.delta_rows_scanned, batch, span_blocks
                         );
-                        p
+                        Arc::new(p)
                     }
                     // Below one span no checkpoint exists; re-verify cold.
-                    None => q.execute_with(&db, &options).unwrap(),
+                    None => cold_scan(&db),
                 };
                 prop_assert_eq!(grid_bits(&patched), grid_bits(&cold));
                 // Naive oracle on the exact-integer aggregates of group c1.

@@ -61,8 +61,8 @@ pub use cache::{
 pub use column::{ColumnData, StringDictionary, NULL_CODE};
 pub use cost::CostModel;
 pub use cube::{
-    execute_fused_in, execute_fused_on_in, execute_patch_in, ArenaStats, CubeOptions, CubeQuery,
-    CubeResult, CubeStats, DimSel, GridArena, GridMode, ScanCheckpoint,
+    execute_fused_in, ArenaStats, CubeOptions, CubeQuery, CubeResult, CubeStats, DimSel, GridArena,
+    GridMode, ScanCheckpoint,
 };
 pub use database::{ColumnRef, Database};
 pub use error::{RelationalError, Result};

@@ -60,25 +60,25 @@
 //!   with no wave-unique remainder could legitimately shift a pass
 //!   between waves, which the gate would surface rather than hide.
 //!
-//! # Partition-parallel passes
+//! # Partition fan-out
 //!
-//! A pass over a single-table identity scope does not run as one
-//! monolithic scan: when the relation spans at least two fixed partitions
-//! ([`crate::block::partition_ranges`], a pure function of row count and
-//! the configured partition span — never of worker count), the worker
-//! that pops the pass *explodes* it into one queued subtask per
+//! Every pass is one cube pass of [`crate::cube`]'s single engine: fused
+//! members × fixed partitions × a checkpoint prefix, folded in exactly one
+//! place. The scheduler chooses only **who scans the partitions**. When a
+//! cold pass over a single-table identity scope spans at least two fixed
+//! partitions ([`crate::block::partition_ranges`], a pure function of row
+//! count and the configured partition span — never of worker count), the
+//! worker that pops the pass *explodes* it into one queued subtask per
 //! partition. Any worker steals subtasks; each scans its block range into
-//! partition-local grids ([`crate::cube`]'s shared fused driver); the
-//! **last** finisher folds the partition grids in ascending partition
-//! order and settles every member. Because the in-process fused path runs
-//! the *same* partition shape and the *same* ascending merge
-//! ([`crate::cube::execute_fused_in`] with the same span), a fanned-out
-//! pass is bit-identical to a sequential one at any worker count and any
-//! completion order — determinism holds by construction, not by keeping
-//! scans sequential. Joined (materialized) scopes still execute as one
-//! sequential subtask, but partition internally through the same driver,
-//! so their results and partition counters are identical too. The only
-//! run-to-run-varying stat is the
+//! partition-local grids; the **last** finisher hands the deposited grids
+//! to the engine's fold, which merges them in ascending partition order,
+//! captures checkpoints and finishes every member — the very function the
+//! in-process driver ([`crate::cube::execute_fused_in`]) runs, so a
+//! fanned-out pass is bit-identical to an in-process one at any worker
+//! count and any completion order by construction. This fan-out is the
+//! system's only intra-pass parallelism. Joined (materialized) scopes run
+//! in-process on the worker that popped them — same partitions, same fold,
+//! same counters. The only run-to-run-varying stat is the
 //! [`crate::cube::CubeStats::partition_parallelism`] gauge (distinct
 //! workers that touched the pass).
 //!
@@ -102,15 +102,15 @@
 //! When a wave's probe finds a **stale** resident grid whose cube captured
 //! a [`ScanCheckpoint`], the won flight carries it as a patch base and the
 //! miss executes as a **patch pass**
-//! ([`crate::cube::execute_patches_in`]): clone the checkpointed prefix
-//! folds, scan only the appended partitions, publish at the new watermark.
-//! Patch passes fuse with each other — same table scope, same checkpoint
-//! prefix shape — so a wave whose stale grids all resume from one boundary
-//! scans the appended tail once; they are never fused with cold scans and
-//! never exploded into partition subtasks (the delta is small by
-//! construction), and they publish through the same single-flight
-//! protocol, so concurrent re-verifies dedup patch work exactly like full
-//! scans.
+//! ([`crate::cube::execute_patches_in`]): the same engine resuming from
+//! the checkpointed prefix instead of row 0, so only the appended
+//! partitions are scanned before publishing at the new watermark. Patch
+//! passes fuse with each other — same table scope, same checkpoint prefix
+//! shape — so a wave whose stale grids all resume from one boundary scans
+//! the appended tail once; they are never fused with cold scans and never
+//! exploded into partition subtasks (the delta is small by construction),
+//! and they publish through the same single-flight protocol, so concurrent
+//! re-verifies dedup patch work exactly like full scans.
 //!
 //! # Deadlock freedom
 //!
@@ -128,9 +128,8 @@ use crate::cache::{
     CacheKey, CachedSlice, EvalCache, Flight, FlightGuard, FlightRequest, FlightWaiter,
 };
 use crate::cube::{
-    execute_fused_in, execute_patches_in, merge_fused_partitions, patchable_function,
-    scan_fused_partition, validate_fused, CubeOptions, CubeQuery, CubeResult, GridArena,
-    PartitionGrids, ScanCheckpoint,
+    execute_fused_in, execute_patches_in, patchable_function, validate_fused, CubeOptions,
+    CubePass, CubeQuery, CubeResult, GridArena, PartitionGrids, ScanCheckpoint,
 };
 use crate::database::{ColumnRef, Database};
 use crate::error::{RelationalError, Result};
@@ -363,10 +362,11 @@ impl ScanGroup {
         self.members.is_empty()
     }
 
-    /// Run the fused pass sequentially: validate members, scan once,
-    /// publish and settle each member. A member that fails validation
-    /// settles (and poisons its flights) without stopping its siblings; a
-    /// failed scan fails every member. A scan that *panics* still fails
+    /// Run the pass in-process — cold, or as a patch when its members
+    /// carry checkpoints: validate members, scan once, publish and settle
+    /// each member. A member that fails validation settles (and poisons
+    /// its flights) without stopping its siblings; a failed scan fails
+    /// every member. A scan that *panics* still fails
     /// every member first — settling their tasks and poisoning their
     /// flights so no waiter wedges — and hands the panic payload back for
     /// the executing thread to re-raise.
@@ -390,53 +390,24 @@ impl ScanGroup {
             partition_blocks: self.partition_blocks,
             ..CubeOptions::default()
         };
-        if valid[0].patch.is_some() {
-            // Patch pass: resume every member's checkpointed fold over the
-            // appended partitions in one tail scan (falls back to a fused
-            // cold scan inside `execute_patches_in` if the checkpoints no
-            // longer apply). Fusion keyed the group by checkpoint prefix
-            // shape, so the members are homogeneous by construction.
-            debug_assert!(
-                valid.iter().all(|t| t.patch.is_some()),
-                "patch passes never mix with cold members"
-            );
-            let checkpoints: Vec<Arc<ScanCheckpoint>> = valid
-                .iter()
-                .map(|t| t.patch.clone().expect("checked above"))
-                .collect();
-            let refs: Vec<&ScanCheckpoint> = checkpoints.iter().map(Arc::as_ref).collect();
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                execute_patches_in(db, &refs, &options, arena)
-            }));
-            return match outcome {
-                Ok(Ok(results)) => {
-                    for (task, result) in valid.into_iter().zip(results) {
-                        task.complete(result, rows);
-                    }
-                    None
-                }
-                Ok(Err(e)) => {
-                    for task in valid {
-                        task.fail(e.clone());
-                    }
-                    None
-                }
-                Err(payload) => {
-                    let e = RelationalError::Execution("patch pass panicked mid-execution".into());
-                    for task in valid {
-                        task.fail(e.clone());
-                    }
-                    Some(payload)
-                }
-            };
-        }
+        // Fusion keyed the group by checkpoint prefix shape, so its members
+        // are homogeneous by construction: all cold, or all patch tasks
+        // resuming from one boundary (which scan the appended partitions
+        // once, and fall back to a cold pass inside `execute_patches_in`
+        // if the checkpoints no longer apply).
+        let cubes: Vec<&CubeQuery> = valid.iter().map(|t| &t.cube).collect();
+        let prefix: Vec<&ScanCheckpoint> =
+            valid.iter().filter_map(|t| t.patch.as_deref()).collect();
         debug_assert!(
-            valid.iter().all(|t| t.patch.is_none()),
+            prefix.is_empty() || prefix.len() == valid.len(),
             "patch passes never mix with cold members"
         );
-        let cubes: Vec<&CubeQuery> = valid.iter().map(|t| &t.cube).collect();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_fused_in(db, &cubes, &options, arena)
+            if prefix.is_empty() {
+                execute_fused_in(db, &cubes, &options, arena)
+            } else {
+                execute_patches_in(db, &prefix, &options, arena)
+            }
         }));
         match outcome {
             Ok(Ok(results)) => {
@@ -508,10 +479,11 @@ struct PartState {
 
 impl PartitionJob {
     /// Run partition `idx`: scan its block range into partition-local
-    /// grids, deposit them, and — as the last finisher — merge ascending
-    /// and settle every member. Any panic (chaos hooks fire inside the
-    /// scan exactly as in-process) fails all members *before* the payload
-    /// is handed back for re-raising, so waiters are woken, not wedged.
+    /// grids, deposit them, and — as the last finisher — run the engine's
+    /// fold over all of them and settle every member. Any panic (chaos
+    /// hooks fire inside the scan exactly as in-process) fails all members
+    /// *before* the payload is handed back for re-raising, so waiters are
+    /// woken, not wedged.
     fn run_subtask(
         self: &Arc<Self>,
         idx: usize,
@@ -530,17 +502,12 @@ impl PartitionJob {
         };
         let cubes: Vec<&CubeQuery> = self.cubes.iter().collect();
         let scanned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            scan_fused_partition(
-                db,
-                &relation,
-                &cubes,
-                &self.options,
-                arena,
-                self.ranges[idx].clone(),
-            )
+            let pass = CubePass::new(db, &relation, &cubes, &self.options, arena);
+            let grids = pass.scan(self.ranges[idx].clone());
+            (pass, grids)
         }));
-        let grids = match scanned {
-            Ok(grids) => grids,
+        let (pass, grids) = match scanned {
+            Ok(scanned) => scanned,
             Err(payload) => {
                 self.fail_all(RelationalError::Execution(
                     "partition subtask panicked mid-scan".into(),
@@ -548,7 +515,7 @@ impl PartitionJob {
                 return Some(payload);
             }
         };
-        let (tasks, parts, parallelism) = {
+        let (tasks, mut parts, parallelism) = {
             let mut state = lock(&self.state);
             if state.failed {
                 return None;
@@ -563,30 +530,22 @@ impl PartitionJob {
                 return None;
             }
             // Every partition succeeded (a panic never increments
-            // `completed`), so this worker owns the merge.
+            // `completed`), so this worker owns the fold.
             let tasks = state
                 .tasks
                 .take()
-                .expect("members unsettled until the merge");
-            let parts: Vec<PartitionGrids> = state
-                .slots
-                .iter_mut()
-                .map(|slot| slot.take().expect("every partition deposited"))
-                .collect();
+                .expect("members unsettled until the fold");
+            let parts = std::mem::take(&mut state.slots);
             (tasks, parts, state.workers.len() as u32)
         };
-        let merged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            merge_fused_partitions(
-                db,
-                &relation,
-                &cubes,
-                &self.options,
-                arena,
-                parts,
-                parallelism,
-            )
+        // The shared fold asks for partitions in ascending order; the
+        // index-addressed slots make completion order irrelevant.
+        let folded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pass.fold(&[], parallelism, |idx, _| {
+                parts[idx].take().expect("every partition deposited")
+            })
         }));
-        match merged {
+        match folded {
             Ok(results) => {
                 let rows = db.watermark();
                 for (task, result) in tasks.into_iter().zip(results) {
@@ -778,8 +737,8 @@ impl CubeScheduler {
     }
 
     /// Explode an eligible pass into queued per-partition subtasks.
-    /// Ineligible passes come back to run in-process — which partitions
-    /// internally through the same driver, so eligibility affects only
+    /// Ineligible passes come back to run in-process — over the same
+    /// partitions and through the same fold, so eligibility affects only
     /// *who* scans, never any result or partition counter.
     fn try_fan_out(&self, group: ScanGroup, db: &Arc<Database>) -> Option<ScanGroup> {
         match Self::explode(group, db) {
@@ -1038,7 +997,7 @@ pub struct WaveStats {
     /// gauge, the only counter here that may legitimately vary run to run.
     pub partition_parallelism: u32,
     /// Cached grids patched forward from a checkpoint over just the
-    /// appended rows ([`crate::cube::execute_patch_in`]) instead of
+    /// appended rows ([`crate::cube::execute_patches_in`]) instead of
     /// cold-rescanning the corpus — one per patch pass.
     pub grids_patched: u64,
     /// Appended-tail rows scanned by those patch passes. The savings claim
@@ -1528,78 +1487,6 @@ mod tests {
                 .unwrap()
                 .get_count(&[crate::cube::DimSel::Literal(0)], 0),
             2.0
-        );
-    }
-
-    /// Chaos satellite: an injected panic inside ONE partition subtask of a
-    /// fanned-out pass must fail EVERY member task, poison their registered
-    /// flights (waking waiters), and leave no merge barrier hung — then
-    /// re-raise on the executing thread so a supervisor can see the death.
-    #[test]
-    fn partition_subtask_panic_fails_all_members_and_notifies_waiters() {
-        use crate::block::BLOCK_ROWS;
-        let rows = 3 * BLOCK_ROWS; // 3 one-block partitions at span 1
-        let cats: Vec<Value> = (0..rows).map(|i| ["a", "b", "c"][i % 3].into()).collect();
-        let t = Table::from_columns("t", vec![("cat", cats)]).unwrap();
-        let mut db = Database::new("d");
-        db.add_table(t);
-        let db = Arc::new(db);
-
-        let cache = EvalCache::new();
-        let key = CacheKey::new(
-            AggFunction::Count,
-            AggColumn::Star,
-            vec![ColumnRef::new(0, 0)],
-            0,
-        );
-        let needed = vec![vec![Value::from("a")]];
-        let guard = match cache.flight(&key, &needed, db.watermark()) {
-            Flight::Compute(g) => g,
-            other => panic!("expected Compute, got {other:?}"),
-        };
-        let waiter = match cache.flight(&key, &needed, db.watermark()) {
-            Flight::Wait(w) => w,
-            other => panic!("expected Wait, got {other:?}"),
-        };
-
-        let (task_a, handle_a) = CubeTask::new(
-            count_cube(&db, vec!["a".into()]),
-            vec![(0, AggFunction::Count, guard)],
-        );
-        let (task_b, handle_b) = CubeTask::new(count_cube(&db, vec!["b".into()]), Vec::new());
-        let mut groups = ScanGroup::fuse(vec![task_a, task_b]);
-        assert_eq!(groups.len(), 1, "one shared scope fuses into one pass");
-        for group in &mut groups {
-            group.set_partition_blocks(1);
-        }
-        let handles = [handle_a, handle_b];
-
-        // Seed 0, period 2: partition 0's single block crosses the hook at
-        // n=1 (clean), partition 1 panics at n=2.
-        let chaos = crate::chaos::install(crate::chaos::FaultPlan {
-            seed: 0,
-            panic_every_scan_blocks: 2,
-            ..crate::chaos::FaultPlan::default()
-        });
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_wave(&db, None, groups, &handles, 1);
-        }));
-        assert!(chaos.injected_panics() >= 1, "the plan must actually fire");
-        drop(chaos);
-        // The members settle BEFORE the payload re-raises: the driver's
-        // unwind is observable here, not a hang.
-        assert!(unwound.is_err(), "the chaos panic re-raises after settling");
-
-        for (i, handle) in handles.iter().enumerate() {
-            assert!(handle.is_done(), "member {i} hung on the merge barrier");
-            assert!(
-                handle.result().is_err(),
-                "member {i}: one partition's panic fails the whole pass"
-            );
-        }
-        assert!(
-            waiter.wait().is_none(),
-            "the failed member's flight was poisoned, waking its waiters"
         );
     }
 

@@ -1,11 +1,12 @@
 //! Property-based tests of the relational engine's core invariants.
 
 use agg_relational::{
-    execute_query, AggColumn, AggFunction, ColumnMeta, CubeOptions, CubeQuery, DataType, Database,
-    DimSel, EvalCache, GridMode, MergePlanner, Predicate, SimpleAggregateQuery, StringDictionary,
-    Table, TableSchema, Value,
+    execute_query, run_wave, AggColumn, AggFunction, ColumnMeta, CubeOptions, CubeQuery, CubeTask,
+    DataType, Database, DimSel, EvalCache, GridMode, MergePlanner, Predicate, ScanGroup,
+    SimpleAggregateQuery, StringDictionary, Table, TableSchema, Value,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // String dictionary
@@ -212,19 +213,15 @@ proptest! {
             .execute_with(&db, &CubeOptions { dense_cell_cap: 0, ..CubeOptions::default() })
             .unwrap();
         prop_assert_eq!(hashed.stats.grid_mode, GridMode::Hashed);
-        let parallel = cube
-            .execute_with(&db, &CubeOptions {
-                threads,
-                parallel_row_threshold: 1,
-                clamp_to_hardware: false,
-                partition_blocks: 1,
-                ..CubeOptions::default()
-            })
-            .unwrap();
-        // Worker count = min(requested, rows / threshold, partitions) with
-        // the hardware clamp disabled; under 50 rows is a single 2048-row
-        // partition, so the scan stays sequential by construction.
-        prop_assert_eq!(parallel.stats.scan_threads, 1);
+        // The production fan-out (`run_wave`) at `threads` workers. Under 50
+        // rows is a single 2048-row partition, so the pass never explodes:
+        // the submitting worker runs it in-process by construction.
+        let db = Arc::new(db);
+        let (task, handle) = CubeTask::new(cube.clone(), Vec::new());
+        let mut groups = ScanGroup::fuse(vec![task]);
+        groups[0].set_partition_blocks(1);
+        run_wave(&db, None, groups, std::slice::from_ref(&handle), threads);
+        let parallel = handle.into_result().unwrap();
         prop_assert_eq!(parallel.stats.partitions_scanned, 0);
 
         // Every addressable (selector, aggregate) combination must agree

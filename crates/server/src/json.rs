@@ -68,11 +68,19 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parse one JSON document; trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level and request bodies come from the network, so without a
+/// ceiling a body of nothing but `[` overflows the connection thread's
+/// stack and aborts the process; no API document nests beyond 2.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parse one JSON document; trailing non-whitespace, or nesting deeper
+/// than [`MAX_DEPTH`], is an error.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -104,6 +112,8 @@ pub fn escape(s: &str) -> String {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -148,8 +158,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
@@ -307,6 +328,25 @@ mod tests {
         assert!(parse(r#"{"a": 1} trailing"#).is_err());
         assert!(parse(r#""unterminated"#).is_err());
         assert!(parse("01x").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        let mixed = format!("{}1{}", r#"{"a":["#.repeat(40), "]}".repeat(40));
+        assert!(
+            parse(&mixed).is_err(),
+            "objects and arrays share the budget"
+        );
+        // Hostile input far under the request-size ceiling, on a thread
+        // with the default stack: an error, not a stack overflow.
+        let hostile = std::thread::spawn(|| parse(&"[".repeat(200_000)))
+            .join()
+            .expect("the parser thread survives");
+        assert!(hostile.is_err());
     }
 
     #[test]

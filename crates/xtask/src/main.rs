@@ -12,7 +12,7 @@
 //! ```text
 //! cargo run -p xtask -- bench-gate \
 //!     --baseline BENCH_cube.json --current BENCH_cube.current.json \
-//!     --threshold 0.15 --variants dense_1t,dense_4t --metric rows_per_sec
+//!     --threshold 0.15 --variants dense_1t --metric rows_per_sec
 //! ```
 //!
 //! No serde in the offline build environment, so the parser is a tiny
@@ -260,7 +260,7 @@ fn bench_gate(args: &[String]) -> ExitCode {
     let mut current = String::from("BENCH_cube.current.json");
     let mut threshold = 0.15f64;
     let mut metric = String::from("rows_per_sec");
-    let mut variants = String::from("dense_1t,dense_4t");
+    let mut variants = String::from("dense_1t");
     let mut normalize_to: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {

@@ -290,6 +290,11 @@ fn http_api_submit_poll_cancel_stats() {
     assert_eq!(status, 400);
     let (status, _) = http(addr, "POST", "/v1/documents", "{\"deadline_ms\":5}");
     assert_eq!(status, 400);
+    // Hostile nesting, far under the request-size ceiling: a 400 from the
+    // parser's depth limit, not a stack overflow that takes the process
+    // (and every tenant) down — the stats request below must still answer.
+    let (status, _) = http(addr, "POST", "/v1/documents", &"[".repeat(200_000));
+    assert_eq!(status, 400);
     let (status, _) = http(
         addr,
         "POST",
