@@ -794,6 +794,72 @@ mod tests {
         );
     }
 
+    /// The exact `RunStats` bytes inside a `Complete` frame, every field a
+    /// distinct value: the v1 layout is a written contract
+    /// (`docs/protocol.md`, "Run stats encoding"), so it is pinned as a
+    /// literal. Durations are not wire-visible and decode as zero.
+    #[test]
+    fn put_stats_bytes_are_pinned() {
+        const RUN_STATS_HEX: &str = concat!(
+            "0100000000000000", // claims
+            "0200000000000000", // em_iterations
+            "0300000000000000", // candidates_evaluated
+            "0400000000000000", // cubes_executed
+            "0500000000000000", // cubes_cached
+            "0600000000000000", // rows_scanned
+            "0700000000000000", // tasks_executed
+            "0800000000000000", // tasks_deduped
+            "0900000000000000", // singleflight_waits
+            "0a00000000000000", // scan_passes
+            "0b00000000000000", // poison_retries
+            "0c00000000000000", // blocks_scanned
+            "0d00000000000000", // blocks_skipped
+            "0e00000000000000", // bytes_scanned
+            "0f00000000000000", // partitions_scanned
+            "1000000000000000", // partition_merges
+            "11000000",         // partition_parallelism (u32)
+            "1200000000000000", // grids_patched
+            "1300000000000000", // delta_rows_scanned
+            "0000000000000440", // candidate_space_log10 = 2.5
+        );
+        let bytes: Vec<u8> = (0..RUN_STATS_HEX.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&RUN_STATS_HEX[i..i + 2], 16).unwrap())
+            .collect();
+        let mut cursor = &bytes[..];
+        let s = wire::get_stats(&mut cursor).unwrap();
+        assert!(cursor.is_empty(), "decode must consume the payload");
+        assert_eq!(
+            [
+                s.claims as u64,
+                s.em_iterations as u64,
+                s.candidates_evaluated,
+                s.cubes_executed,
+                s.cubes_cached,
+                s.rows_scanned,
+                s.tasks_executed,
+                s.tasks_deduped,
+                s.singleflight_waits,
+                s.scan_passes,
+                s.poison_retries,
+                s.blocks_scanned,
+                s.blocks_skipped,
+                s.bytes_scanned,
+                s.partitions_scanned,
+                s.partition_merges,
+                u64::from(s.partition_parallelism),
+                s.grids_patched,
+                s.delta_rows_scanned,
+            ],
+            std::array::from_fn::<u64, 19, _>(|i| i as u64 + 1)
+        );
+        assert_eq!(s.candidate_space_log10, 2.5);
+        assert_eq!((s.elapsed, s.query_time), Default::default());
+        let mut out = Vec::new();
+        wire::put_stats(&mut out, &s);
+        assert_eq!(out, bytes, "re-encoding reproduces the literal");
+    }
+
     /// Truncated payloads and bad tags decode to errors, never panics.
     #[test]
     fn wire_rejects_malformed_payloads() {

@@ -641,6 +641,52 @@ fn report_json(id: u64, report: &VerificationReport) -> String {
     )
 }
 
+/// One namespace's entry of the `/v1/stats` `"namespaces"` object.
+fn namespace_json(
+    name: &str,
+    s: &agg_core::StreamStats,
+    queue_depth: usize,
+    in_flight: usize,
+    lane_depths: &[(u64, usize)],
+) -> String {
+    let lanes: Vec<String> = lane_depths
+        .iter()
+        .map(|(lane, depth)| format!("{{\"lane\":{lane},\"depth\":{depth}}}"))
+        .collect();
+    format!(
+        "\"{}\":{{\"submitted\":{},\"completed\":{},\"failed\":{},\"rejected\":{},\"timed_out\":{},\"cancelled\":{},\"partial\":{},\"respawns\":{},\"poison_retries\":{},\"queue_depth_high_water\":{},\"in_flight_high_water\":{},\"claims\":{},\"rows_scanned\":{},\"tasks_executed\":{},\"tasks_deduped\":{},\"singleflight_waits\":{},\"scan_passes\":{},\"blocks_scanned\":{},\"blocks_skipped\":{},\"bytes_scanned\":{},\"partitions_scanned\":{},\"partition_merges\":{},\"partition_parallelism\":{},\"grids_patched\":{},\"delta_rows_scanned\":{},\"queue_depth\":{},\"in_flight\":{},\"lanes\":[{}]}}",
+        json::escape(name),
+        s.submitted,
+        s.completed,
+        s.failed,
+        s.rejected,
+        s.timed_out,
+        s.cancelled,
+        s.partial,
+        s.respawns,
+        s.poison_retries,
+        s.queue_depth_high_water,
+        s.in_flight_high_water,
+        s.claims,
+        s.rows_scanned,
+        s.tasks_executed,
+        s.tasks_deduped,
+        s.singleflight_waits,
+        s.scan_passes,
+        s.blocks_scanned,
+        s.blocks_skipped,
+        s.bytes_scanned,
+        s.partitions_scanned,
+        s.partition_merges,
+        s.partition_parallelism,
+        s.grids_patched,
+        s.delta_rows_scanned,
+        queue_depth,
+        in_flight,
+        lanes.join(","),
+    )
+}
+
 fn stats_json(shared: &Arc<ServerShared>) -> String {
     let c = &shared.counters;
     let mut names: Vec<&String> = shared.namespaces.keys().collect();
@@ -649,43 +695,12 @@ fn stats_json(shared: &Arc<ServerShared>) -> String {
         .into_iter()
         .map(|name| {
             let service = &shared.namespaces[name];
-            let s = service.stats();
-            let lanes: Vec<String> = service
-                .lane_depths()
-                .into_iter()
-                .map(|(lane, depth)| format!("{{\"lane\":{lane},\"depth\":{depth}}}"))
-                .collect();
-            format!(
-                "\"{}\":{{\"submitted\":{},\"completed\":{},\"failed\":{},\"rejected\":{},\"timed_out\":{},\"cancelled\":{},\"partial\":{},\"respawns\":{},\"poison_retries\":{},\"queue_depth_high_water\":{},\"in_flight_high_water\":{},\"claims\":{},\"rows_scanned\":{},\"tasks_executed\":{},\"tasks_deduped\":{},\"singleflight_waits\":{},\"scan_passes\":{},\"blocks_scanned\":{},\"blocks_skipped\":{},\"bytes_scanned\":{},\"partitions_scanned\":{},\"partition_merges\":{},\"partition_parallelism\":{},\"grids_patched\":{},\"delta_rows_scanned\":{},\"queue_depth\":{},\"in_flight\":{},\"lanes\":[{}]}}",
-                json::escape(name),
-                s.submitted,
-                s.completed,
-                s.failed,
-                s.rejected,
-                s.timed_out,
-                s.cancelled,
-                s.partial,
-                s.respawns,
-                s.poison_retries,
-                s.queue_depth_high_water,
-                s.in_flight_high_water,
-                s.claims,
-                s.rows_scanned,
-                s.tasks_executed,
-                s.tasks_deduped,
-                s.singleflight_waits,
-                s.scan_passes,
-                s.blocks_scanned,
-                s.blocks_skipped,
-                s.bytes_scanned,
-                s.partitions_scanned,
-                s.partition_merges,
-                s.partition_parallelism,
-                s.grids_patched,
-                s.delta_rows_scanned,
+            namespace_json(
+                name,
+                &service.stats(),
                 service.queue_depth(),
                 service.in_flight(),
-                lanes.join(","),
+                &service.lane_depths(),
             )
         })
         .collect();
@@ -1038,4 +1053,76 @@ fn binary_handshake(
     };
     send(Opcode::HelloOk, protocol::hello_ok(conn_id));
     Some(Arc::clone(service))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use agg_core::report::wire;
+    use agg_core::ReportStatus;
+
+    /// A `RunStats` whose every wire-visible field is a distinct value
+    /// (1..=19 in wire order, then 2.5), built by decoding so the test
+    /// does not depend on how the struct lays its fields out.
+    fn pinned_run_stats() -> agg_core::RunStats {
+        let mut bytes = Vec::new();
+        for v in 1..=16u64 {
+            wire::put_u64(&mut bytes, v);
+        }
+        wire::put_u32(&mut bytes, 17);
+        wire::put_u64(&mut bytes, 18);
+        wire::put_u64(&mut bytes, 19);
+        wire::put_f64(&mut bytes, 2.5);
+        wire::get_stats(&mut &bytes[..]).unwrap()
+    }
+
+    /// The exact text of a settled report's JSON — the `"stats"` object
+    /// is a 13-key subset of `RunStats`, in this order.
+    #[test]
+    fn report_json_text_is_pinned() {
+        let report = wire::assemble_report(Vec::new(), pinned_run_stats(), ReportStatus::Complete);
+        assert_eq!(
+            report_json(7, &report),
+            "{\"id\":7,\"status\":\"complete\",\"claims\":[],\"stats\":{\"claims\":1,\
+             \"em_iterations\":2,\"candidates_evaluated\":3,\"rows_scanned\":6,\
+             \"scan_passes\":10,\"blocks_scanned\":12,\"blocks_skipped\":13,\
+             \"bytes_scanned\":14,\"partitions_scanned\":15,\"partition_merges\":16,\
+             \"partition_parallelism\":17,\"grids_patched\":18,\"delta_rows_scanned\":19},\
+             \"fingerprint\":\"[]|claims=1|em=2|cand=3\"}"
+        );
+    }
+
+    /// The exact text of one `/v1/stats` namespace entry: all 25
+    /// `StreamStats` counters in `StatsOk` order except that
+    /// `partition_parallelism` sits between `partition_merges` and
+    /// `grids_patched`, then the live queue state.
+    #[test]
+    fn stats_namespace_json_text_is_pinned() {
+        let mut payload = Vec::new();
+        for v in 1..=24u64 {
+            wire::put_u64(&mut payload, v);
+        }
+        wire::put_u32(&mut payload, 25);
+        for v in [0u64, 0] {
+            wire::put_u64(&mut payload, v);
+        }
+        wire::put_u32(&mut payload, 0);
+        for v in [0u64, 0, 0, 0] {
+            wire::put_u64(&mut payload, v);
+        }
+        let stream = protocol::parse_stats_ok(&payload).unwrap().stream;
+        assert_eq!(
+            namespace_json("demo", &stream, 26, 27, &[(28, 29), (30, 31)]),
+            "\"demo\":{\"submitted\":1,\"completed\":2,\"failed\":3,\"rejected\":4,\
+             \"timed_out\":5,\"cancelled\":6,\"partial\":7,\"respawns\":8,\
+             \"poison_retries\":9,\"queue_depth_high_water\":10,\
+             \"in_flight_high_water\":11,\"claims\":12,\"rows_scanned\":13,\
+             \"tasks_executed\":14,\"tasks_deduped\":15,\"singleflight_waits\":16,\
+             \"scan_passes\":17,\"blocks_scanned\":18,\"blocks_skipped\":19,\
+             \"bytes_scanned\":20,\"partitions_scanned\":21,\"partition_merges\":22,\
+             \"partition_parallelism\":25,\"grids_patched\":23,\"delta_rows_scanned\":24,\
+             \"queue_depth\":26,\"in_flight\":27,\
+             \"lanes\":[{\"lane\":28,\"depth\":29},{\"lane\":30,\"depth\":31}]}"
+        );
+    }
 }

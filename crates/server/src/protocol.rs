@@ -695,4 +695,97 @@ mod tests {
         };
         assert_eq!(parse_stats_ok(&stats_ok(&stats)).unwrap(), stats);
     }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// The exact `StatsOk` bytes of a snapshot whose every field is a
+    /// distinct value, two lanes included: the v1 layout is a written
+    /// contract (`docs/protocol.md`), so it is pinned as a literal.
+    #[test]
+    fn stats_ok_bytes_are_pinned() {
+        const STATS_OK_HEX: &str = concat!(
+            "0100000000000000", // submitted
+            "0200000000000000", // completed
+            "0300000000000000", // failed
+            "0400000000000000", // rejected
+            "0500000000000000", // timed_out
+            "0600000000000000", // cancelled
+            "0700000000000000", // partial
+            "0800000000000000", // respawns
+            "0900000000000000", // poison_retries
+            "0a00000000000000", // queue_depth_high_water
+            "0b00000000000000", // in_flight_high_water
+            "0c00000000000000", // claims
+            "0d00000000000000", // rows_scanned
+            "0e00000000000000", // tasks_executed
+            "0f00000000000000", // tasks_deduped
+            "1000000000000000", // singleflight_waits
+            "1100000000000000", // scan_passes
+            "1200000000000000", // blocks_scanned
+            "1300000000000000", // blocks_skipped
+            "1400000000000000", // bytes_scanned
+            "1500000000000000", // partitions_scanned
+            "1600000000000000", // partition_merges
+            "1700000000000000", // grids_patched
+            "1800000000000000", // delta_rows_scanned
+            "19000000",         // partition_parallelism (u32)
+            "1a00000000000000", // queue_depth
+            "1b00000000000000", // in_flight
+            "02000000",         // lane count (u32)
+            "1c00000000000000", // lane
+            "1d00000000000000", // depth
+            "1e00000000000000", // lane
+            "1f00000000000000", // depth
+            "2000000000000000", // connections
+            "2100000000000000", // frames_in
+            "2200000000000000", // frames_out
+            "2300000000000000", // malformed_frames
+        );
+        let bytes = unhex(STATS_OK_HEX);
+        let s = parse_stats_ok(&bytes).unwrap();
+        let st = &s.stream;
+        assert_eq!(
+            [
+                st.submitted,
+                st.completed,
+                st.failed,
+                st.rejected,
+                st.timed_out,
+                st.cancelled,
+                st.partial,
+                st.respawns,
+                st.poison_retries,
+                st.queue_depth_high_water,
+                st.in_flight_high_water,
+                st.claims,
+                st.rows_scanned,
+                st.tasks_executed,
+                st.tasks_deduped,
+                st.singleflight_waits,
+                st.scan_passes,
+                st.blocks_scanned,
+                st.blocks_skipped,
+                st.bytes_scanned,
+                st.partitions_scanned,
+                st.partition_merges,
+                st.grids_patched,
+                st.delta_rows_scanned,
+                u64::from(st.partition_parallelism),
+                s.queue_depth,
+                s.in_flight,
+            ],
+            std::array::from_fn::<u64, 27, _>(|i| i as u64 + 1)
+        );
+        assert_eq!(s.lane_depths, vec![(28, 29), (30, 31)]);
+        assert_eq!(
+            [s.connections, s.frames_in, s.frames_out, s.malformed_frames],
+            [32, 33, 34, 35]
+        );
+        assert_eq!(stats_ok(&s), bytes, "re-encoding reproduces the literal");
+    }
 }
