@@ -82,28 +82,23 @@
 
 use agg_bench::metrics::median_timed_ns;
 use agg_core::{
-    AggChecker, BatchVerifier, CheckerConfig, EvalStats, ReportStatus, StreamConfig,
+    AggChecker, BatchVerifier, CheckerConfig, ReportStatus, StreamConfig, StreamStats,
     StreamingVerifier, VerificationReport,
 };
 use agg_corpus::{generate_multi_doc_case, CorpusSpec};
+use agg_relational::ScanCounters;
 use agg_server::client::BinaryClient;
 use agg_server::{ServerConfig, VerifyServer};
 use std::time::{Duration, Instant};
 
-/// Scheduling-relevant stats summed over one run's reports. The tuple is
-/// `Ord`, so `median_timed_ns` can pair it with the median-time sample.
-type RunCounters = (u64, u64, u64, u64, u64); // rows, tasks, deduped, waits, passes
-
-fn counters(reports: &[VerificationReport]) -> RunCounters {
-    let mut c = (0, 0, 0, 0, 0);
+/// One run's reports folded the way the streaming service folds them: the
+/// shared scan counters plus the dedup pair, summed over documents.
+fn counters(reports: &[VerificationReport]) -> StreamStats {
+    let mut totals = StreamStats::default();
     for r in reports {
-        c.0 += r.stats.rows_scanned;
-        c.1 += r.stats.tasks_executed;
-        c.2 += r.stats.tasks_deduped;
-        c.3 += r.stats.singleflight_waits;
-        c.4 += r.stats.scan_passes;
+        totals.absorb(&r.stats);
     }
-    c
+    totals
 }
 
 struct Variant {
@@ -111,23 +106,11 @@ struct Variant {
     workers: u32,
     median_ns: u64,
     docs_per_sec: f64,
-    /// Rows scanned by this variant's cube executions in one full run
-    /// (caching and single-flight make this differ across variants), per
-    /// second.
-    rows_scanned_per_run: u64,
-    rows_scanned_per_sec: f64,
-    /// Cube tasks executed in one full run.
-    tasks_executed: u64,
-    /// Cube requests resolved without a new execution (cross-claim merge
-    /// or single-flight).
-    tasks_deduped: u64,
-    /// Requests that blocked on another worker's in-flight cube.
-    singleflight_waits: u64,
-    /// Fused row passes executed in one full run (same-scope tasks share
-    /// one pass; `rows_scanned_per_run` is the rows those passes read).
-    scan_passes: u64,
-    /// Average member tasks per fused pass.
-    fused_tasks_per_pass: f64,
+    /// The median run's folded counters: rows its cube executions
+    /// scanned (caching and single-flight make this differ across
+    /// variants), tasks executed/deduped, single-flight waits, fused
+    /// passes — emitted under the JSON names the xtask gates select on.
+    totals: StreamStats,
 }
 
 /// One streaming run: spin up the service, submit every document in input
@@ -399,26 +382,12 @@ fn main() {
     let run_deadline = || counters(&run_stream_deadline(&case.db, &cfg, &texts, 8));
     let run_loopback = || counters(&run_server_loopback(&case.db, &cfg, &texts, 4));
 
-    let variant = |name, workers: u32, (median, c): (u64, RunCounters)| {
-        let secs = median as f64 / 1e9;
-        Variant {
-            name,
-            workers,
-            median_ns: median,
-            docs_per_sec: docs as f64 / secs,
-            rows_scanned_per_run: c.0,
-            rows_scanned_per_sec: c.0 as f64 / secs,
-            tasks_executed: c.1,
-            tasks_deduped: c.2,
-            singleflight_waits: c.3,
-            scan_passes: c.4,
-            fused_tasks_per_pass: EvalStats {
-                tasks_executed: c.1,
-                scan_passes: c.4,
-                ..EvalStats::default()
-            }
-            .fused_tasks_per_pass(),
-        }
+    let variant = |name, workers: u32, (median_ns, totals): (u64, StreamStats)| Variant {
+        name,
+        workers,
+        median_ns,
+        docs_per_sec: docs as f64 / (median_ns as f64 / 1e9),
+        totals,
     };
     let variants = [
         variant(
@@ -444,15 +413,15 @@ fn main() {
     let sequential_ns = variants[0].median_ns as f64;
     let best_batch_ns = variants[2].median_ns.min(variants[3].median_ns) as f64;
     let speedup = sequential_ns / best_batch_ns;
-    let dedup_exact = variants[2].rows_scanned_per_run == variants[3].rows_scanned_per_run;
-    let passes_exact = variants[2].scan_passes == variants[3].scan_passes;
+    let dedup_exact = variants[2].totals.rows_scanned == variants[3].totals.rows_scanned;
+    let passes_exact = variants[2].totals.scan_passes == variants[3].totals.scan_passes;
     let stream = &variants[4..8];
     let stream_rows_exact = stream
         .iter()
-        .all(|v| v.rows_scanned_per_run == stream[0].rows_scanned_per_run);
+        .all(|v| v.totals.rows_scanned == stream[0].totals.rows_scanned);
     let stream_passes_exact = stream
         .iter()
-        .all(|v| v.scan_passes == stream[0].scan_passes);
+        .all(|v| v.totals.scan_passes == stream[0].totals.scan_passes);
     let best_stream_ns = stream.iter().map(|v| v.median_ns).min().unwrap() as f64;
     let stream_speedup = sequential_ns / best_stream_ns;
     // The deadline variant's completed half must scan exactly what the
@@ -460,22 +429,22 @@ fn main() {
     // never the substrate (the CI dedup gates pin this too).
     let deadline_variant = &variants[8];
     assert_eq!(
-        deadline_variant.rows_scanned_per_run, stream[0].rows_scanned_per_run,
+        deadline_variant.totals.rows_scanned, stream[0].totals.rows_scanned,
         "stream_deadline's completed docs scanned different rows than the dedup-gated baseline"
     );
     assert_eq!(
-        deadline_variant.scan_passes, stream[0].scan_passes,
+        deadline_variant.totals.scan_passes, stream[0].totals.scan_passes,
         "stream_deadline's completed docs formed different passes than the dedup-gated baseline"
     );
     // The wire changes how documents arrive, never what the substrate
     // scans: one client = one lane = the in-process arrival order.
     let loopback_variant = &variants[9];
     assert_eq!(
-        loopback_variant.rows_scanned_per_run, stream[0].rows_scanned_per_run,
+        loopback_variant.totals.rows_scanned, stream[0].totals.rows_scanned,
         "server_loopback scanned different rows than the dedup-gated baseline"
     );
     assert_eq!(
-        loopback_variant.scan_passes, stream[0].scan_passes,
+        loopback_variant.totals.scan_passes, stream[0].totals.scan_passes,
         "server_loopback formed different passes than the dedup-gated baseline"
     );
 
@@ -497,8 +466,6 @@ fn main() {
     );
     let part_texts: Vec<&str> = part_case.articles.iter().map(String::as_str).collect();
     let part_rows = part_case.db.total_rows();
-    // (rows, passes, partitions, merges, max parallelism gauge)
-    type PartCounters = (u64, u64, u64, u64, u32);
     let part_run = |threads: usize, partition_blocks: Option<usize>| {
         let run_cfg = CheckerConfig {
             threads,
@@ -507,21 +474,17 @@ fn main() {
         };
         let checker = AggChecker::new(part_case.db.clone(), run_cfg).unwrap();
         let mut fingerprints = Vec::with_capacity(part_texts.len());
-        let mut c: PartCounters = (0, 0, 0, 0, 0);
+        let mut c = ScanCounters::default();
         for t in &part_texts {
             let r = checker.check_text(t).unwrap();
-            c.0 += r.stats.rows_scanned;
-            c.1 += r.stats.scan_passes;
-            c.2 += r.stats.partitions_scanned;
-            c.3 += r.stats.partition_merges;
-            c.4 = c.4.max(r.stats.partition_parallelism);
+            c.merge(&r.stats.scan);
             fingerprints.push(r.content_fingerprint());
         }
         (fingerprints, c)
     };
     let (part_reference, part_ref_counters) = part_run(1, None);
     assert!(
-        part_ref_counters.2 > 0,
+        part_ref_counters.partitions_scanned > 0,
         "the {part_rows}-row partition corpus must span multiple partitions"
     );
     let (size1_prints, size1_counters) = part_run(1, Some(1));
@@ -537,13 +500,11 @@ fn main() {
             "{threads}-thread partitioned run diverged from the 1-thread report"
         );
         assert_eq!(
-            (c.0, c.1, c.2, c.3),
-            (
-                part_ref_counters.0,
-                part_ref_counters.1,
-                part_ref_counters.2,
-                part_ref_counters.3
-            ),
+            ScanCounters {
+                partition_parallelism: part_ref_counters.partition_parallelism,
+                ..c
+            },
+            part_ref_counters,
             "{threads}-thread partitioned counters diverged (only the parallelism gauge may)"
         );
     }
@@ -554,10 +515,7 @@ fn main() {
         threads_used: u32,
         median_ns: u64,
         docs_per_sec: f64,
-        rows_scanned_per_run: u64,
-        scan_passes: u64,
-        partitions_scanned: u64,
-        partition_merges: u64,
+        scan: ScanCounters,
     }
     let part_variants: Vec<PartitionVariant> = [1usize, 2, 4]
         .iter()
@@ -575,24 +533,19 @@ fn main() {
                 // workers that actually scanned partitions — often 1 on a
                 // single-core runner, honestly reported rather than
                 // echoing the request.
-                threads_used: c.4.max(1),
+                threads_used: c.partition_parallelism.max(1),
                 median_ns,
                 docs_per_sec: part_docs as f64 / (median_ns as f64 / 1e9),
-                rows_scanned_per_run: c.0,
-                scan_passes: c.1,
-                partitions_scanned: c.2,
-                partition_merges: c.3,
+                scan: c,
             }
         })
         .collect();
     let partition_rows_equal = part_variants
         .iter()
-        .all(|v| v.rows_scanned_per_run == part_variants[0].rows_scanned_per_run)
-        && size1_counters.0 == part_variants[0].rows_scanned_per_run;
+        .all(|v| v.scan.rows_scanned == size1_counters.rows_scanned);
     let partition_passes_equal = part_variants
         .iter()
-        .all(|v| v.scan_passes == part_variants[0].scan_passes)
-        && size1_counters.1 == part_variants[0].scan_passes;
+        .all(|v| v.scan.scan_passes == size1_counters.scan_passes);
 
     // --- Incremental re-verification over appends. -----------------------
     // The watermark/checkpoint machinery's headline: verify the big corpus
@@ -643,9 +596,7 @@ fn main() {
         }
         (prints, rows)
     };
-    // (delta rows, grids patched, total re-verify rows)
-    type AppendCounters = (u64, u64, u64);
-    let append_run = |threads: usize| -> (u64, AppendCounters) {
+    let append_run = |threads: usize| -> (u64, ScanCounters) {
         let run_cfg = CheckerConfig {
             threads,
             ..append_cfg.clone()
@@ -656,13 +607,11 @@ fn main() {
         }
         checker.append_rows(&append_table, &append_batch).unwrap();
         let start = Instant::now();
-        let mut c: AppendCounters = (0, 0, 0);
+        let mut c = ScanCounters::default();
         let mut prints = Vec::with_capacity(part_texts.len());
         for t in &part_texts {
             let r = checker.check_text(t).unwrap();
-            c.0 += r.stats.delta_rows_scanned;
-            c.1 += r.stats.grids_patched;
-            c.2 += r.stats.rows_scanned;
+            c.merge(&r.stats.scan);
             prints.push(r.content_fingerprint());
         }
         let reverify_ns = start.elapsed().as_nanos() as u64;
@@ -678,10 +627,8 @@ fn main() {
         workers: u32,
         reverify_median_ns: u64,
         reverify_docs_per_sec: f64,
-        delta_rows_scanned: u64,
-        grids_patched: u64,
-        rows_scanned_reverify: u64,
-        rows_scanned_cold: u64,
+        /// The re-verification pass's counters (the patch work).
+        scan: ScanCounters,
     }
     let append_variants: Vec<AppendVariant> = [1usize, 2, 4, 8]
         .iter()
@@ -692,31 +639,31 @@ fn main() {
                 4 => "append_4w",
                 _ => "append_8w",
             };
-            let mut runs: Vec<(u64, AppendCounters)> =
+            let mut runs: Vec<(u64, ScanCounters)> =
                 (0..samples.max(1)).map(|_| append_run(threads)).collect();
-            runs.sort_unstable();
+            runs.sort_unstable_by_key(|run| run.0);
             let (reverify_median_ns, c) = runs[runs.len() / 2];
             AppendVariant {
                 name,
                 workers: threads as u32,
                 reverify_median_ns,
                 reverify_docs_per_sec: part_docs as f64 / (reverify_median_ns as f64 / 1e9),
-                delta_rows_scanned: c.0,
-                grids_patched: c.1,
-                rows_scanned_reverify: c.2,
-                rows_scanned_cold: append_cold_rows,
+                scan: c,
             }
         })
         .collect();
     let first_append = &append_variants[0];
     assert!(
-        first_append.grids_patched > 0,
+        first_append.scan.grids_patched > 0,
         "the re-verification never patched a grid — checkpoint capture or the \
          delta path is dead"
     );
     let append_patch_equal = append_variants.iter().all(|v| {
-        (v.delta_rows_scanned, v.grids_patched)
-            == (first_append.delta_rows_scanned, first_append.grids_patched)
+        (v.scan.delta_rows_scanned, v.scan.grids_patched)
+            == (
+                first_append.scan.delta_rows_scanned,
+                first_append.scan.grids_patched,
+            )
     });
     assert!(
         append_patch_equal,
@@ -724,7 +671,7 @@ fn main() {
          must be a pure function of the appended rows"
     );
     let append_delta_fraction =
-        first_append.delta_rows_scanned as f64 / append_cold_rows.max(1) as f64;
+        first_append.scan.delta_rows_scanned as f64 / append_cold_rows.max(1) as f64;
     assert!(
         append_delta_fraction < 0.10,
         "re-verifying after a 1% append scanned {:.1}% of what a cold run scans — \
@@ -747,13 +694,13 @@ fn main() {
             v.workers,
             v.median_ns,
             v.docs_per_sec,
-            v.rows_scanned_per_run,
-            v.rows_scanned_per_sec,
-            v.tasks_executed,
-            v.tasks_deduped,
-            v.singleflight_waits,
-            v.scan_passes,
-            v.fused_tasks_per_pass,
+            v.totals.rows_scanned,
+            v.totals.rows_scanned as f64 / (v.median_ns as f64 / 1e9),
+            v.totals.tasks_executed,
+            v.totals.tasks_deduped,
+            v.totals.singleflight_waits,
+            v.totals.scan_passes,
+            v.totals.fused_tasks_per_pass(),
             if i + 1 < variants.len() { "," } else { "" }
         ));
     }
@@ -780,10 +727,10 @@ fn main() {
             v.threads_used as f64 / v.threads_requested as f64,
             v.median_ns,
             v.docs_per_sec,
-            v.rows_scanned_per_run,
-            v.scan_passes,
-            v.partitions_scanned,
-            v.partition_merges,
+            v.scan.rows_scanned,
+            v.scan.scan_passes,
+            v.scan.partitions_scanned,
+            v.scan.partition_merges,
             if i + 1 < part_variants.len() { "," } else { "" }
         ));
     }
@@ -808,10 +755,10 @@ fn main() {
             v.workers,
             v.reverify_median_ns,
             v.reverify_docs_per_sec,
-            v.delta_rows_scanned,
-            v.grids_patched,
-            v.rows_scanned_reverify,
-            v.rows_scanned_cold,
+            v.scan.delta_rows_scanned,
+            v.scan.grids_patched,
+            v.scan.rows_scanned,
+            append_cold_rows,
             if i + 1 < append_variants.len() { "," } else { "" }
         ));
     }

@@ -122,7 +122,7 @@ pub fn pct(x: f64) -> String {
 /// cube execution), so pairing one run's payload with another run's time
 /// would misstate derived rates. Shared by the `bench_cube` and
 /// `bench_pipeline` bins so their medians stay comparable.
-pub fn median_timed_ns<T: Ord, F: FnMut() -> T>(samples: usize, mut f: F) -> (u64, T) {
+pub fn median_timed_ns<T, F: FnMut() -> T>(samples: usize, mut f: F) -> (u64, T) {
     f(); // warmup
     let mut runs: Vec<(u64, T)> = (0..samples.max(1))
         .map(|_| {
@@ -131,7 +131,7 @@ pub fn median_timed_ns<T: Ord, F: FnMut() -> T>(samples: usize, mut f: F) -> (u6
             (start.elapsed().as_nanos() as u64, payload)
         })
         .collect();
-    runs.sort_unstable();
+    runs.sort_unstable_by_key(|run| run.0);
     let mid = runs.len() / 2;
     runs.into_iter().nth(mid).expect("at least one sample")
 }

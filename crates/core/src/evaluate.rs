@@ -22,10 +22,11 @@
 //!   ([`Evaluator::set_scheduler`], see `pipeline::BatchVerifier`).
 //!   Finished cubes are demultiplexed back into per-claim
 //!   [`ResultsMatrix`] slots. The probe/bundle/wave/collect protocol
-//!   itself lives in `agg_relational::schedule::run_requests` — shared
-//!   with `MergePlan` — which also **fuses** the wave's same-scope tasks
-//!   into single row passes (`ScanGroup`), so a wave costs one table scan
-//!   per distinct table scope instead of one per task;
+//!   itself lives in `agg_relational::schedule::run_requests` — this
+//!   planner is its one client — which also **fuses** the wave's
+//!   same-scope tasks into single row passes (`ScanGroup`), so a wave
+//!   costs one table scan per distinct table scope instead of one per
+//!   task;
 //! * slices are stored in the shared [`EvalCache`] keyed by (aggregation
 //!   function, aggregation column, dimension set) — the cache granularity
 //!   the paper found to perform best. The cache is **lock-striped** into
@@ -49,14 +50,16 @@ use crate::candidates::CandidateSet;
 use crate::fragments::FragmentCatalog;
 use agg_relational::{
     ratio_from_counts, run_requests, AggColumn, AggFunction, CachedSlice, ColumnRef, CubeScheduler,
-    Database, EvalCache, GridArena, Result, Value, WaveExec, WaveRequest,
+    Database, EvalCache, GridArena, Result, ScanCounters, Value, WaveExec, WaveRequest, WaveStats,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 pub use agg_relational::TaskBundling;
 
-/// Per-run evaluation statistics (feeds Table 6 and `RunStats`).
+/// Per-run evaluation statistics (feeds Table 6 and `RunStats`): this
+/// layer's own ledger plus the shared scan-plane counters, readable as
+/// plain fields (`stats.rows_scanned`) through `Deref`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EvalStats {
     /// Candidate (query, claim) evaluations resolved.
@@ -65,58 +68,24 @@ pub struct EvalStats {
     pub cubes_executed: u64,
     /// Cube slice requests served from the cache.
     pub cubes_cached: u64,
-    /// Real rows read by this evaluator's fused scan passes. Each pass
-    /// charges its relation length once, however many cube grids it feeds
-    /// — the physical I/O, not the per-task ledger.
-    pub rows_scanned: u64,
-    /// Cube tasks this evaluator submitted and saw executed (scheduler
-    /// accounting twin of [`EvalStats::cubes_executed`]).
-    pub tasks_executed: u64,
     /// Aggregate-key requests resolved without a new execution: merged
     /// into another claim's identical cube group at planning time, or
     /// satisfied by another worker's in-flight computation
     /// (single-flight). Counted per key in both cases, so the value is
-    /// comparable across modes and against [`EvalStats::tasks_executed`].
+    /// comparable across modes and against `tasks_executed`.
     pub tasks_deduped: u64,
     /// Subset of [`EvalStats::tasks_deduped`]: requests that blocked on
     /// another worker's in-flight cube and received its published slice.
     pub singleflight_waits: u64,
-    /// Fused row passes executed on behalf of this evaluator: same-scope
-    /// tasks of one wave share a single scan
-    /// (`agg_relational::schedule::ScanGroup`), so this is the number of
-    /// physical table scans — compare with [`EvalStats::tasks_executed`]
-    /// for the fusion factor.
-    pub scan_passes: u64,
-    /// Poisoned-flight wake-ups absorbed by this evaluator's waves (each
-    /// re-probes the cache, bounded per aggregate by
-    /// `agg_relational::MAX_POISON_RETRIES`). 0 in fault-free runs.
-    pub poison_retries: u64,
-    /// Compressed storage blocks decoded by this evaluator's scans (per
-    /// member grid; 0 when scans ran on plain columns).
-    pub blocks_scanned: u64,
-    /// Blocks bulk-applied from zone-map metadata without decoding.
-    pub blocks_skipped: u64,
-    /// Encoded payload bytes read by the decoded blocks.
-    pub bytes_scanned: u64,
-    /// Fixed scan partitions executed by this evaluator's passes (charged
-    /// once per pass like [`EvalStats::rows_scanned`]; single-partition
-    /// passes charge 0). Worker-count independent by the determinism
-    /// contract.
-    pub partitions_scanned: u64,
-    /// Partition-grid merges performed (per member task). Worker-count
-    /// independent.
-    pub partition_merges: u64,
-    /// Max distinct workers observed on any one partitioned pass — the
-    /// only counter here that may legitimately vary run to run.
-    pub partition_parallelism: u32,
-    /// Cached grids brought forward by a **patch pass** — a scan of only
-    /// the rows appended since the grid's checkpoint — instead of a full
-    /// recomputation. See `agg_relational::cube::ScanCheckpoint`.
-    pub grids_patched: u64,
-    /// Rows scanned by patch passes only (a subset of
-    /// [`EvalStats::rows_scanned`]) — the incremental re-verification
-    /// cost after appends.
-    pub delta_rows_scanned: u64,
+    /// What this evaluator's waves executed and scanned.
+    pub scan: ScanCounters,
+}
+
+impl std::ops::Deref for EvalStats {
+    type Target = ScanCounters;
+    fn deref(&self) -> &ScanCounters {
+        &self.scan
+    }
 }
 
 impl EvalStats {
@@ -124,30 +93,24 @@ impl EvalStats {
         self.candidates_evaluated += other.candidates_evaluated;
         self.cubes_executed += other.cubes_executed;
         self.cubes_cached += other.cubes_cached;
-        self.rows_scanned += other.rows_scanned;
-        self.tasks_executed += other.tasks_executed;
         self.tasks_deduped += other.tasks_deduped;
         self.singleflight_waits += other.singleflight_waits;
-        self.scan_passes += other.scan_passes;
-        self.poison_retries += other.poison_retries;
-        self.blocks_scanned += other.blocks_scanned;
-        self.blocks_skipped += other.blocks_skipped;
-        self.bytes_scanned += other.bytes_scanned;
-        self.partitions_scanned += other.partitions_scanned;
-        self.partition_merges += other.partition_merges;
-        self.partition_parallelism = self.partition_parallelism.max(other.partition_parallelism);
-        self.grids_patched += other.grids_patched;
-        self.delta_rows_scanned += other.delta_rows_scanned;
+        self.scan.merge(&other.scan);
     }
 
-    /// Average member tasks per fused pass (1.0 when nothing fused; 0.0
-    /// when nothing executed).
-    pub fn fused_tasks_per_pass(&self) -> f64 {
-        if self.scan_passes == 0 {
-            0.0
-        } else {
-            self.tasks_executed as f64 / self.scan_passes as f64
-        }
+    /// Fold one finished wave in.
+    pub(crate) fn absorb(&mut self, wave: &WaveStats) {
+        self.cubes_cached += wave.key_hits;
+        // A wave joined in flight was deduplicated exactly like one merged
+        // at planning time; both land in `tasks_deduped`, waits also in
+        // their own counter (net of poison-retry takeovers, which the
+        // orchestration already moved back across the ledger).
+        self.singleflight_waits += wave.key_waits;
+        self.tasks_deduped += wave.key_waits;
+        // Table 6's "cubes executed" is this layer's name for the tasks
+        // the wave ran — the one shared counter read here by name.
+        self.cubes_executed += wave.tasks_executed;
+        self.scan.merge(&wave.scan);
     }
 }
 
@@ -375,29 +338,7 @@ impl<'a> Evaluator<'a> {
             partition_blocks: self.partition_blocks,
         };
         let outcome = run_requests(self.db, &exec, &requests)?;
-        self.stats.cubes_cached += outcome.stats.key_hits;
-        // A wave joined in flight was deduplicated exactly like one merged
-        // at planning time; both land in `tasks_deduped`, waits also in
-        // their own counter (net of poison-retry takeovers, which the
-        // orchestration already moved back across the ledger).
-        self.stats.singleflight_waits += outcome.stats.key_waits;
-        self.stats.tasks_deduped += outcome.stats.key_waits;
-        self.stats.cubes_executed += outcome.stats.tasks_executed;
-        self.stats.tasks_executed += outcome.stats.tasks_executed;
-        self.stats.rows_scanned += outcome.stats.rows_scanned;
-        self.stats.scan_passes += outcome.stats.scan_passes;
-        self.stats.poison_retries += outcome.stats.poison_retries;
-        self.stats.blocks_scanned += outcome.stats.blocks_scanned;
-        self.stats.blocks_skipped += outcome.stats.blocks_skipped;
-        self.stats.bytes_scanned += outcome.stats.bytes_scanned;
-        self.stats.partitions_scanned += outcome.stats.partitions_scanned;
-        self.stats.partition_merges += outcome.stats.partition_merges;
-        self.stats.partition_parallelism = self
-            .stats
-            .partition_parallelism
-            .max(outcome.stats.partition_parallelism);
-        self.stats.grids_patched += outcome.stats.grids_patched;
-        self.stats.delta_rows_scanned += outcome.stats.delta_rows_scanned;
+        self.stats.absorb(&outcome.stats);
         let resolved = outcome.slices;
 
         // ---- Phase 3: demultiplex into per-claim result matrices. ----
@@ -634,7 +575,7 @@ pub fn evaluate_naive(
             let value = agg_relational::execute_query(db, &query)?;
             matrix.set(ci, pi, value);
             stats.candidates_evaluated += 1;
-            stats.rows_scanned += db.total_rows() as u64;
+            stats.scan.rows_scanned += db.total_rows() as u64;
         }
     }
     Ok(matrix)

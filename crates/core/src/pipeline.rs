@@ -14,7 +14,7 @@ use agg_nlp::claims::{detect_claims, ClaimMention};
 use agg_nlp::structure::{parse_document, Document};
 use agg_nlp::synonyms::SynonymDict;
 use agg_relational::{
-    CostModel, CubeScheduler, Database, EvalCache, GridArena, SimpleAggregateQuery,
+    CostModel, CubeScheduler, Database, EvalCache, GridArena, ScanCounters, SimpleAggregateQuery,
     DEFAULT_CACHE_SHARDS,
 };
 use std::fmt;
@@ -125,61 +125,36 @@ impl CheckedClaim {
     }
 }
 
-/// Run statistics (Table 6 instrumentation and general diagnostics).
-#[derive(Debug, Clone, Default)]
+/// Run statistics (Table 6 instrumentation and general diagnostics): the
+/// document's own ledger plus the shared scan-plane counters, readable as
+/// plain fields (`stats.rows_scanned`) through `Deref`.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RunStats {
     pub claims: usize,
     pub em_iterations: usize,
     pub candidates_evaluated: u64,
     pub cubes_executed: u64,
     pub cubes_cached: u64,
-    pub rows_scanned: u64,
-    /// Cube tasks this document submitted to the scheduler and saw run.
-    pub tasks_executed: u64,
     /// Cube requests resolved without a new execution (merged across
     /// claims at planning time, or absorbed by single-flight).
     pub tasks_deduped: u64,
     /// Requests that blocked on another worker's in-flight cube.
     pub singleflight_waits: u64,
-    /// Fused row passes executed (same-scope cube tasks of one wave share
-    /// a single table scan; see `agg_relational::schedule::ScanGroup`).
-    pub scan_passes: u64,
-    /// Times a wait on another worker's in-flight cube found the flight
-    /// poisoned (its computing worker panicked) and re-probed the cache.
-    /// Always 0 in fault-free runs.
-    pub poison_retries: u64,
-    /// Compressed storage blocks decoded by this run's scans (per member
-    /// grid; 0 when every scan ran on plain columns).
-    pub blocks_scanned: u64,
-    /// Blocks bulk-applied from zone-map metadata without decoding.
-    pub blocks_skipped: u64,
-    /// Encoded payload bytes read by the decoded blocks.
-    pub bytes_scanned: u64,
-    /// Fixed scan partitions executed by this run's passes (charged once
-    /// per pass, like `rows_scanned`; single-partition passes charge 0).
-    /// Worker-count independent — the `partition-gate` pins it.
-    pub partitions_scanned: u64,
-    /// Partition-grid merges performed (per member task). Worker-count
-    /// independent.
-    pub partition_merges: u64,
-    /// Max distinct workers observed on any one partitioned pass. A
-    /// gauge: the only stat here that may legitimately vary run to run,
-    /// which is why it stays out of
-    /// [`VerificationReport::content_fingerprint`].
-    pub partition_parallelism: u32,
-    /// Cached cube grids brought forward by **patch passes**: after table
-    /// appends, a stale-stamped grid is patched by scanning only the
-    /// appended row range instead of being recomputed from scratch.
-    pub grids_patched: u64,
-    /// Rows scanned by patch passes only — a subset of `rows_scanned`,
-    /// and the whole incremental cost of re-verifying after an append.
-    pub delta_rows_scanned: u64,
+    /// What this document's waves executed and scanned.
+    pub scan: ScanCounters,
     /// Wall-clock time of the whole run.
     pub elapsed: Duration,
     /// Wall-clock time inside query evaluation only.
     pub query_time: Duration,
     /// log₁₀ of the candidate query space (Figure 8).
     pub candidate_space_log10: f64,
+}
+
+impl std::ops::Deref for RunStats {
+    type Target = ScanCounters;
+    fn deref(&self) -> &ScanCounters {
+        &self.scan
+    }
 }
 
 /// The result of verifying one document.
@@ -722,20 +697,9 @@ impl AggChecker {
             candidates_evaluated: eval_stats.candidates_evaluated,
             cubes_executed: eval_stats.cubes_executed,
             cubes_cached: eval_stats.cubes_cached,
-            rows_scanned: eval_stats.rows_scanned,
-            tasks_executed: eval_stats.tasks_executed,
             tasks_deduped: eval_stats.tasks_deduped,
             singleflight_waits: eval_stats.singleflight_waits,
-            scan_passes: eval_stats.scan_passes,
-            poison_retries: eval_stats.poison_retries,
-            blocks_scanned: eval_stats.blocks_scanned,
-            blocks_skipped: eval_stats.blocks_skipped,
-            bytes_scanned: eval_stats.bytes_scanned,
-            partitions_scanned: eval_stats.partitions_scanned,
-            partition_merges: eval_stats.partition_merges,
-            partition_parallelism: eval_stats.partition_parallelism,
-            grids_patched: eval_stats.grids_patched,
-            delta_rows_scanned: eval_stats.delta_rows_scanned,
+            scan: eval_stats.scan,
             elapsed: started.elapsed(),
             query_time,
             candidate_space_log10: self.catalog.candidate_space_log10(),

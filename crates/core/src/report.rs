@@ -620,58 +620,149 @@ pub mod wire {
         })
     }
 
-    /// Encode the scheduling-independent [`RunStats`] counters (wall-clock
-    /// durations are not wire-visible: they are excluded from
-    /// [`VerificationReport::content_fingerprint`] and decode as zero).
+    // --- stats field lists ---
+
+    /// A mutable view of one stats field, typed as it travels. One accessor
+    /// per field serves encode ([`put_fields`], on a copy), decode
+    /// ([`get_fields`], into a default) and the JSON emitters
+    /// ([`Slot::text`]), so a format is one ordered list and cannot
+    /// disagree with itself.
+    pub enum Slot<'a> {
+        U64(&'a mut u64),
+        /// A `usize` in memory, a `u64` on the wire.
+        Usize(&'a mut usize),
+        U32(&'a mut u32),
+        F64(&'a mut f64),
+        /// A `u32`-counted sequence of `(u64, u64)` pairs, with the two
+        /// keys its JSON objects use.
+        Pairs(&'a mut Vec<(u64, u64)>, [&'static str; 2]),
+    }
+
+    /// One entry of a format's ordered field list: the name
+    /// `docs/protocol.md` tabulates (and the JSON key), and the accessor.
+    pub type StatField<S> = (&'static str, fn(&mut S) -> Slot<'_>);
+
+    /// A float as JSON text: finite values print bare; NaN/inf have no JSON
+    /// spelling and become `null`.
+    pub fn json_f64(v: f64) -> String {
+        if v.is_finite() {
+            format!("{v}")
+        } else {
+            "null".to_string()
+        }
+    }
+
+    impl Slot<'_> {
+        /// The value as JSON text (pairs render as an array of two-key
+        /// objects).
+        pub fn text(&self) -> String {
+            match self {
+                Slot::U64(v) => v.to_string(),
+                Slot::Usize(v) => v.to_string(),
+                Slot::U32(v) => v.to_string(),
+                Slot::F64(v) => json_f64(**v),
+                Slot::Pairs(pairs, [ka, kb]) => {
+                    let items: Vec<String> = pairs
+                        .iter()
+                        .map(|(a, b)| format!("{{\"{ka}\":{a},\"{kb}\":{b}}}"))
+                        .collect();
+                    format!("[{}]", items.join(","))
+                }
+            }
+        }
+
+        fn put(&self, out: &mut Vec<u8>) {
+            match self {
+                Slot::U64(v) => put_u64(out, **v),
+                Slot::Usize(v) => put_usize(out, **v),
+                Slot::U32(v) => put_u32(out, **v),
+                Slot::F64(v) => put_f64(out, **v),
+                Slot::Pairs(pairs, _) => {
+                    put_u32(out, pairs.len() as u32);
+                    for (a, b) in pairs.iter() {
+                        put_u64(out, *a);
+                        put_u64(out, *b);
+                    }
+                }
+            }
+        }
+
+        fn fill(self, buf: &mut &[u8]) -> Result<(), WireError> {
+            match self {
+                Slot::U64(v) => *v = get_u64(buf)?,
+                Slot::Usize(v) => *v = get_usize(buf)?,
+                Slot::U32(v) => *v = get_u32(buf)?,
+                Slot::F64(v) => *v = get_f64(buf)?,
+                Slot::Pairs(pairs, _) => {
+                    let n = get_u32(buf)? as usize;
+                    pairs.clear();
+                    pairs.reserve(n.min(1024));
+                    for _ in 0..n {
+                        pairs.push((get_u64(buf)?, get_u64(buf)?));
+                    }
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// Encode every field of `fields`, in list order.
+    pub fn put_fields<S: Clone>(out: &mut Vec<u8>, s: &S, fields: &[StatField<S>]) {
+        let mut s = s.clone();
+        for (_, slot) in fields {
+            slot(&mut s).put(out);
+        }
+    }
+
+    /// Decode every field of `fields`, in list order, into `s`.
+    pub fn get_fields<S>(
+        buf: &mut &[u8],
+        s: &mut S,
+        fields: &[StatField<S>],
+    ) -> Result<(), WireError> {
+        fields.iter().try_for_each(|(_, slot)| slot(s).fill(buf))
+    }
+
+    /// The [`RunStats`] wire layout — the "Run stats encoding" table of
+    /// `docs/protocol.md`, in order (a server unit test holds the two
+    /// together). Wall-clock durations are not wire-visible: they are
+    /// excluded from [`VerificationReport::content_fingerprint`] and
+    /// decode as zero. The order is a written v1 contract, so it is
+    /// spelled out rather than derived from the struct.
+    #[rustfmt::skip] // one row per wire field
+    pub const RUN_STATS_FIELDS: [StatField<RunStats>; 20] = [
+        ("claims", |s| Slot::Usize(&mut s.claims)),
+        ("em_iterations", |s| Slot::Usize(&mut s.em_iterations)),
+        ("candidates_evaluated", |s| Slot::U64(&mut s.candidates_evaluated)),
+        ("cubes_executed", |s| Slot::U64(&mut s.cubes_executed)),
+        ("cubes_cached", |s| Slot::U64(&mut s.cubes_cached)),
+        ("rows_scanned", |s| Slot::U64(&mut s.scan.rows_scanned)),
+        ("tasks_executed", |s| Slot::U64(&mut s.scan.tasks_executed)),
+        ("tasks_deduped", |s| Slot::U64(&mut s.tasks_deduped)),
+        ("singleflight_waits", |s| Slot::U64(&mut s.singleflight_waits)),
+        ("scan_passes", |s| Slot::U64(&mut s.scan.scan_passes)),
+        ("poison_retries", |s| Slot::U64(&mut s.scan.poison_retries)),
+        ("blocks_scanned", |s| Slot::U64(&mut s.scan.blocks_scanned)),
+        ("blocks_skipped", |s| Slot::U64(&mut s.scan.blocks_skipped)),
+        ("bytes_scanned", |s| Slot::U64(&mut s.scan.bytes_scanned)),
+        ("partitions_scanned", |s| Slot::U64(&mut s.scan.partitions_scanned)),
+        ("partition_merges", |s| Slot::U64(&mut s.scan.partition_merges)),
+        ("partition_parallelism", |s| Slot::U32(&mut s.scan.partition_parallelism)),
+        ("grids_patched", |s| Slot::U64(&mut s.scan.grids_patched)),
+        ("delta_rows_scanned", |s| Slot::U64(&mut s.scan.delta_rows_scanned)),
+        ("candidate_space_log10", |s| Slot::F64(&mut s.candidate_space_log10)),
+    ];
+
+    /// Encode the wire-visible [`RunStats`] fields ([`RUN_STATS_FIELDS`]).
     pub fn put_stats(out: &mut Vec<u8>, s: &RunStats) {
-        put_usize(out, s.claims);
-        put_usize(out, s.em_iterations);
-        put_u64(out, s.candidates_evaluated);
-        put_u64(out, s.cubes_executed);
-        put_u64(out, s.cubes_cached);
-        put_u64(out, s.rows_scanned);
-        put_u64(out, s.tasks_executed);
-        put_u64(out, s.tasks_deduped);
-        put_u64(out, s.singleflight_waits);
-        put_u64(out, s.scan_passes);
-        put_u64(out, s.poison_retries);
-        put_u64(out, s.blocks_scanned);
-        put_u64(out, s.blocks_skipped);
-        put_u64(out, s.bytes_scanned);
-        put_u64(out, s.partitions_scanned);
-        put_u64(out, s.partition_merges);
-        put_u32(out, s.partition_parallelism);
-        put_u64(out, s.grids_patched);
-        put_u64(out, s.delta_rows_scanned);
-        put_f64(out, s.candidate_space_log10);
+        put_fields(out, s, &RUN_STATS_FIELDS);
     }
 
     /// Inverse of [`put_stats`].
     pub fn get_stats(buf: &mut &[u8]) -> Result<RunStats, WireError> {
-        Ok(RunStats {
-            claims: get_usize(buf)?,
-            em_iterations: get_usize(buf)?,
-            candidates_evaluated: get_u64(buf)?,
-            cubes_executed: get_u64(buf)?,
-            cubes_cached: get_u64(buf)?,
-            rows_scanned: get_u64(buf)?,
-            tasks_executed: get_u64(buf)?,
-            tasks_deduped: get_u64(buf)?,
-            singleflight_waits: get_u64(buf)?,
-            scan_passes: get_u64(buf)?,
-            poison_retries: get_u64(buf)?,
-            blocks_scanned: get_u64(buf)?,
-            blocks_skipped: get_u64(buf)?,
-            bytes_scanned: get_u64(buf)?,
-            partitions_scanned: get_u64(buf)?,
-            partition_merges: get_u64(buf)?,
-            partition_parallelism: get_u32(buf)?,
-            grids_patched: get_u64(buf)?,
-            delta_rows_scanned: get_u64(buf)?,
-            elapsed: std::time::Duration::ZERO,
-            query_time: std::time::Duration::ZERO,
-            candidate_space_log10: get_f64(buf)?,
-        })
+        let mut s = RunStats::default();
+        get_fields(buf, &mut s, &RUN_STATS_FIELDS)?;
+        Ok(s)
     }
 
     /// Reassemble a [`VerificationReport`] from decoded parts — what a

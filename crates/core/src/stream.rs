@@ -113,14 +113,14 @@
 use crate::config::{CheckerConfig, IntakePolicy, StreamConfig};
 use crate::evaluate::TaskBundling;
 use crate::pipeline::{
-    AggChecker, CheckerError, DocControl, ExecContext, ProgressObserver, ReportStatus,
+    AggChecker, CheckerError, DocControl, ExecContext, ProgressObserver, ReportStatus, RunStats,
     VerificationReport,
 };
 use agg_nlp::structure::{parse_document, Document};
-use agg_relational::{CubeScheduler, Database, GridArena};
+use agg_relational::{CubeScheduler, Database, GridArena, ScanCounters};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -231,9 +231,11 @@ impl Ticket {
         // drained-shutdown transition parked workers must observe.
         shared.space.notify_one();
         shared.scheduler.kick();
-        let c = &shared.counters;
-        c.cancelled.fetch_add(1, Ordering::Relaxed);
-        c.partial.fetch_add(1, Ordering::Relaxed);
+        {
+            let mut c = lock(&shared.counters);
+            c.cancelled += 1;
+            c.partial += 1;
+        }
         let report = shared
             .checker_arc()
             .unverified_report(&sub.doc, ReportStatus::Cancelled);
@@ -292,7 +294,10 @@ impl Ticket {
 }
 
 /// Point-in-time counters of one streaming service. High-water marks are
-/// monotone; throughput counters sum over completed documents' reports.
+/// monotone; throughput counters — `claims`, the dedup pair, and the
+/// shared scan-plane counters, readable as plain fields
+/// (`stats.rows_scanned`) through `Deref` — sum over completed documents'
+/// reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Documents accepted into the intake queue.
@@ -325,10 +330,6 @@ pub struct StreamStats {
     /// Panicked workers the supervisor replaced (bounded by
     /// [`StreamConfig::max_respawns`]). 0 in fault-free operation.
     pub respawns: u64,
-    /// Poisoned single-flight retries observed by this service's
-    /// documents (a waited-on worker panicked mid-cube and the waiter
-    /// re-probed). 0 in fault-free operation.
-    pub poison_retries: u64,
     /// Deepest the intake queue ever got (backpressure headroom).
     pub queue_depth_high_water: u64,
     /// Most documents ever in verification at once — the widest admission
@@ -336,52 +337,26 @@ pub struct StreamStats {
     pub in_flight_high_water: u64,
     /// Claims across completed documents.
     pub claims: u64,
-    /// Rows read by completed documents' fused scan passes.
-    pub rows_scanned: u64,
-    /// Cube tasks executed on behalf of completed documents.
-    pub tasks_executed: u64,
     /// Cube requests resolved without a new execution (cross-claim merge,
     /// resident cache, or another document's single-flight).
     pub tasks_deduped: u64,
     /// Requests that blocked on another in-flight cube computation.
     pub singleflight_waits: u64,
-    /// Fused row passes executed for completed documents.
-    pub scan_passes: u64,
-    /// Compressed storage blocks decoded by completed documents' scans.
-    pub blocks_scanned: u64,
-    /// Blocks bulk-applied from zone-map metadata without decoding.
-    pub blocks_skipped: u64,
-    /// Encoded payload bytes read by the decoded blocks.
-    pub bytes_scanned: u64,
-    /// Fixed scan partitions executed by completed documents' passes
-    /// (charged once per pass; single-partition passes charge 0).
-    pub partitions_scanned: u64,
-    /// Partition-grid merges performed for completed documents.
-    pub partition_merges: u64,
-    /// Max distinct workers observed on any one partitioned pass across
-    /// completed documents. A gauge — the only counter here that may
-    /// legitimately vary run to run at a fixed corpus.
-    pub partition_parallelism: u32,
-    /// Cached grids patched forward over appended rows (instead of being
-    /// recomputed by a full scan) on behalf of completed documents. 0
-    /// until [`StreamingVerifier::append_rows`] grows the fact base.
-    pub grids_patched: u64,
-    /// Appended-tail rows read by those patch passes. After an append of
-    /// `k` rows, re-verification costs `O(k)` here instead of re-scanning
-    /// the corpus — the delta-gate's headline ratio.
-    pub delta_rows_scanned: u64,
+    /// What completed documents' waves executed and scanned. Patch
+    /// counters stay 0 until [`StreamingVerifier::append_rows`] grows the
+    /// fact base; poisoned-flight retries also count documents that
+    /// settled partial.
+    pub scan: ScanCounters,
+}
+
+impl std::ops::Deref for StreamStats {
+    type Target = ScanCounters;
+    fn deref(&self) -> &ScanCounters {
+        &self.scan
+    }
 }
 
 impl StreamStats {
-    /// Average cube tasks served per fused row pass (0.0 when no pass ran).
-    pub fn fused_tasks_per_pass(&self) -> f64 {
-        if self.scan_passes == 0 {
-            0.0
-        } else {
-            self.tasks_executed as f64 / self.scan_passes as f64
-        }
-    }
-
     /// Accepted documents whose tickets have settled, over every outcome
     /// bin. The service's accounting invariant is
     /// `settled() == submitted` at quiescence: every accepted document
@@ -389,35 +364,14 @@ impl StreamStats {
     pub fn settled(&self) -> u64 {
         self.completed + self.failed + self.rejected + self.timed_out + self.cancelled
     }
-}
 
-#[derive(Default)]
-struct Counters {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    rejected: AtomicU64,
-    timed_out: AtomicU64,
-    cancelled: AtomicU64,
-    partial: AtomicU64,
-    respawns: AtomicU64,
-    poison_retries: AtomicU64,
-    queue_depth_high_water: AtomicU64,
-    in_flight_high_water: AtomicU64,
-    claims: AtomicU64,
-    rows_scanned: AtomicU64,
-    tasks_executed: AtomicU64,
-    tasks_deduped: AtomicU64,
-    singleflight_waits: AtomicU64,
-    scan_passes: AtomicU64,
-    blocks_scanned: AtomicU64,
-    blocks_skipped: AtomicU64,
-    bytes_scanned: AtomicU64,
-    partitions_scanned: AtomicU64,
-    partition_merges: AtomicU64,
-    partition_parallelism: AtomicU64,
-    grids_patched: AtomicU64,
-    delta_rows_scanned: AtomicU64,
+    /// Fold one completed document's report into the throughput counters.
+    pub fn absorb(&mut self, run: &RunStats) {
+        self.claims += run.claims as u64;
+        self.tasks_deduped += run.tasks_deduped;
+        self.singleflight_waits += run.singleflight_waits;
+        self.scan.merge(&run.scan);
+    }
 }
 
 struct Submission {
@@ -578,7 +532,10 @@ struct Shared {
     queue_len: AtomicUsize,
     in_flight: AtomicUsize,
     closed: AtomicBool,
-    counters: Counters,
+    /// The service's counters: lifecycle events are bumped wherever they
+    /// happen, report-derived ones fold in once per settled document. A
+    /// leaf lock — nothing else is ever acquired while it is held.
+    counters: Mutex<StreamStats>,
 }
 
 impl Shared {
@@ -610,63 +567,32 @@ struct DocGuard<'a> {
 
 impl DocGuard<'_> {
     fn finish(mut self, result: Result<VerificationReport, CheckerError>) {
-        let c = &self.shared.counters;
+        let mut c = lock(&self.shared.counters);
         match &result {
-            Ok(report) => {
-                // Faults a document survived are visible however it ended.
-                c.poison_retries
-                    .fetch_add(report.stats.poison_retries, Ordering::Relaxed);
-                match report.status {
-                    ReportStatus::Complete => {
-                        c.completed.fetch_add(1, Ordering::Relaxed);
-                        // Throughput counters sum *completed* documents
-                        // only, so they stay comparable against solo/batch
-                        // runs of the same corpus (the dedup gates).
-                        c.claims
-                            .fetch_add(report.stats.claims as u64, Ordering::Relaxed);
-                        c.rows_scanned
-                            .fetch_add(report.stats.rows_scanned, Ordering::Relaxed);
-                        c.tasks_executed
-                            .fetch_add(report.stats.tasks_executed, Ordering::Relaxed);
-                        c.tasks_deduped
-                            .fetch_add(report.stats.tasks_deduped, Ordering::Relaxed);
-                        c.singleflight_waits
-                            .fetch_add(report.stats.singleflight_waits, Ordering::Relaxed);
-                        c.scan_passes
-                            .fetch_add(report.stats.scan_passes, Ordering::Relaxed);
-                        c.blocks_scanned
-                            .fetch_add(report.stats.blocks_scanned, Ordering::Relaxed);
-                        c.blocks_skipped
-                            .fetch_add(report.stats.blocks_skipped, Ordering::Relaxed);
-                        c.bytes_scanned
-                            .fetch_add(report.stats.bytes_scanned, Ordering::Relaxed);
-                        c.partitions_scanned
-                            .fetch_add(report.stats.partitions_scanned, Ordering::Relaxed);
-                        c.partition_merges
-                            .fetch_add(report.stats.partition_merges, Ordering::Relaxed);
-                        c.grids_patched
-                            .fetch_add(report.stats.grids_patched, Ordering::Relaxed);
-                        c.delta_rows_scanned
-                            .fetch_add(report.stats.delta_rows_scanned, Ordering::Relaxed);
-                        c.partition_parallelism.fetch_max(
-                            report.stats.partition_parallelism as u64,
-                            Ordering::Relaxed,
-                        );
-                    }
-                    ReportStatus::TimedOut => {
-                        c.timed_out.fetch_add(1, Ordering::Relaxed);
-                        c.partial.fetch_add(1, Ordering::Relaxed);
-                    }
-                    ReportStatus::Cancelled => {
-                        c.cancelled.fetch_add(1, Ordering::Relaxed);
-                        c.partial.fetch_add(1, Ordering::Relaxed);
+            Ok(report) => match report.status {
+                ReportStatus::Complete => {
+                    c.completed += 1;
+                    // Throughput counters sum *completed* documents only,
+                    // so they stay comparable against solo/batch runs of
+                    // the same corpus (the dedup gates).
+                    c.absorb(&report.stats);
+                }
+                status => {
+                    // Faults a document survived are visible however it
+                    // ended: a partial report contributes its poisoned-
+                    // flight retries and nothing else.
+                    c.scan.poison_retries += report.stats.poison_retries;
+                    c.partial += 1;
+                    if status == ReportStatus::TimedOut {
+                        c.timed_out += 1;
+                    } else {
+                        c.cancelled += 1;
                     }
                 }
-            }
-            Err(_) => {
-                c.failed.fetch_add(1, Ordering::Relaxed);
-            }
+            },
+            Err(_) => c.failed += 1,
         }
+        drop(c);
         self.cell.take().expect("unsettled").settle(result);
         // Drop runs next and releases the in-flight slot.
     }
@@ -675,7 +601,7 @@ impl DocGuard<'_> {
 impl Drop for DocGuard<'_> {
     fn drop(&mut self) {
         if let Some(cell) = self.cell.take() {
-            self.shared.counters.failed.fetch_add(1, Ordering::Relaxed);
+            lock(&self.shared.counters).failed += 1;
             cell.settle(Err(CheckerError::Stream(
                 "verification worker panicked with the document in flight".into(),
             )));
@@ -705,7 +631,7 @@ fn dead_pool_drain(shared: &Shared) {
     shared.closed.store(true, Ordering::Release);
     shared.queue_len.store(0, Ordering::Release);
     for sub in drained {
-        shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
+        lock(&shared.counters).rejected += 1;
         sub.cell.settle(Err(CheckerError::Stream(
             "stream worker pool exited with the document still queued".into(),
         )));
@@ -773,7 +699,7 @@ fn supervise(
         }
         if note.panicked && respawned < max_respawns {
             respawned += 1;
-            shared.counters.respawns.fetch_add(1, Ordering::Relaxed);
+            lock(&shared.counters).respawns += 1;
             workers.insert(next_id, spawn_worker(shared.clone(), next_id, tx.clone()));
             next_id += 1;
         } else {
@@ -796,17 +722,16 @@ fn worker_loop(shared: &Shared) {
                     // A slot freed: admit one blocked submitter.
                     shared.space.notify_one();
                     if intake.rejecting {
-                        shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                        lock(&shared.counters).rejected += 1;
                         sub.cell.settle(Err(CheckerError::Stream(
                             "stream dropped with the document still queued".into(),
                         )));
                         continue;
                     }
                     let now = shared.in_flight.fetch_add(1, Ordering::AcqRel) + 1;
-                    shared
-                        .counters
-                        .in_flight_high_water
-                        .fetch_max(now as u64, Ordering::Relaxed);
+                    let mut c = lock(&shared.counters);
+                    c.in_flight_high_water = c.in_flight_high_water.max(now as u64);
+                    drop(c);
                     break Some(sub);
                 }
                 if intake.closed && shared.in_flight.load(Ordering::Acquire) == 0 {
@@ -913,7 +838,7 @@ impl StreamingVerifier {
             queue_len: AtomicUsize::new(0),
             in_flight: AtomicUsize::new(0),
             closed: AtomicBool::new(false),
-            counters: Counters::default(),
+            counters: Mutex::default(),
         });
         let (tx, rx) = mpsc::channel();
         let handles: HashMap<usize, JoinHandle<()>> = (0..workers)
@@ -951,8 +876,8 @@ impl StreamingVerifier {
     /// in flight keep the snapshot they pinned at admission. Because the
     /// cache is watermark-aware, re-verifying a document after an append
     /// patches the resident grids over just the appended tail instead of
-    /// re-scanning the corpus — the savings surface in
-    /// [`StreamStats::grids_patched`] / [`StreamStats::delta_rows_scanned`].
+    /// re-scanning the corpus — the savings surface in the patch counters
+    /// of [`StreamStats::scan`].
     pub fn append_rows(
         &self,
         table: &str,
@@ -1093,14 +1018,9 @@ impl StreamingVerifier {
             );
             let depth = intake.len;
             self.shared.queue_len.store(depth, Ordering::Release);
-            self.shared
-                .counters
-                .queue_depth_high_water
-                .fetch_max(depth as u64, Ordering::Relaxed);
-            self.shared
-                .counters
-                .submitted
-                .fetch_add(1, Ordering::Relaxed);
+            let mut c = lock(&self.shared.counters);
+            c.queue_depth_high_water = c.queue_depth_high_water.max(depth as u64);
+            c.submitted += 1;
         }
         // Recall a parked worker for the new document.
         self.shared.scheduler.kick();
@@ -1184,14 +1104,9 @@ impl StreamingVerifier {
             }
             let depth = intake.len;
             self.shared.queue_len.store(depth, Ordering::Release);
-            self.shared
-                .counters
-                .queue_depth_high_water
-                .fetch_max(depth as u64, Ordering::Relaxed);
-            self.shared
-                .counters
-                .submitted
-                .fetch_add(n as u64, Ordering::Relaxed);
+            let mut c = lock(&self.shared.counters);
+            c.queue_depth_high_water = c.queue_depth_high_water.max(depth as u64);
+            c.submitted += n as u64;
         }
         // One recall for the whole batch: parked workers wake together and
         // pull adjacent documents of the same admission wave.
@@ -1230,34 +1145,7 @@ impl StreamingVerifier {
 
     /// Snapshot the service's counters.
     pub fn stats(&self) -> StreamStats {
-        let c = &self.shared.counters;
-        StreamStats {
-            submitted: c.submitted.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
-            failed: c.failed.load(Ordering::Relaxed),
-            rejected: c.rejected.load(Ordering::Relaxed),
-            timed_out: c.timed_out.load(Ordering::Relaxed),
-            cancelled: c.cancelled.load(Ordering::Relaxed),
-            partial: c.partial.load(Ordering::Relaxed),
-            respawns: c.respawns.load(Ordering::Relaxed),
-            poison_retries: c.poison_retries.load(Ordering::Relaxed),
-            queue_depth_high_water: c.queue_depth_high_water.load(Ordering::Relaxed),
-            in_flight_high_water: c.in_flight_high_water.load(Ordering::Relaxed),
-            claims: c.claims.load(Ordering::Relaxed),
-            rows_scanned: c.rows_scanned.load(Ordering::Relaxed),
-            tasks_executed: c.tasks_executed.load(Ordering::Relaxed),
-            tasks_deduped: c.tasks_deduped.load(Ordering::Relaxed),
-            singleflight_waits: c.singleflight_waits.load(Ordering::Relaxed),
-            scan_passes: c.scan_passes.load(Ordering::Relaxed),
-            blocks_scanned: c.blocks_scanned.load(Ordering::Relaxed),
-            blocks_skipped: c.blocks_skipped.load(Ordering::Relaxed),
-            bytes_scanned: c.bytes_scanned.load(Ordering::Relaxed),
-            partitions_scanned: c.partitions_scanned.load(Ordering::Relaxed),
-            partition_merges: c.partition_merges.load(Ordering::Relaxed),
-            partition_parallelism: c.partition_parallelism.load(Ordering::Relaxed) as u32,
-            grids_patched: c.grids_patched.load(Ordering::Relaxed),
-            delta_rows_scanned: c.delta_rows_scanned.load(Ordering::Relaxed),
-        }
+        *lock(&self.shared.counters)
     }
 
     /// Graceful shutdown: close the intake, verify everything queued, join
@@ -1314,6 +1202,67 @@ mod tests {
     use super::*;
     use crate::pipeline::AggChecker;
     use agg_relational::{Table, Value};
+
+    /// Every shared counter survives every hop — wave → evaluator →
+    /// document → service — summed (the gauge: maxed). Each field carries
+    /// a distinct prime, so a field dropped at any hop fails by name.
+    #[test]
+    fn shared_counters_merge_across_every_hop() {
+        type Field = (&'static str, fn(&mut ScanCounters) -> &mut u64);
+        const SUMMED: [Field; 11] = [
+            ("tasks_executed", |s| &mut s.tasks_executed),
+            ("scan_passes", |s| &mut s.scan_passes),
+            ("rows_scanned", |s| &mut s.rows_scanned),
+            ("poison_retries", |s| &mut s.poison_retries),
+            ("blocks_scanned", |s| &mut s.blocks_scanned),
+            ("blocks_skipped", |s| &mut s.blocks_skipped),
+            ("bytes_scanned", |s| &mut s.bytes_scanned),
+            ("partitions_scanned", |s| &mut s.partitions_scanned),
+            ("partition_merges", |s| &mut s.partition_merges),
+            ("grids_patched", |s| &mut s.grids_patched),
+            ("delta_rows_scanned", |s| &mut s.delta_rows_scanned),
+        ];
+        const PRIMES: [u64; 11] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31];
+        let wave = |scale: u64, gauge: u32| {
+            let mut scan = ScanCounters {
+                partition_parallelism: gauge,
+                ..ScanCounters::default()
+            };
+            for ((_, field), prime) in SUMMED.iter().zip(PRIMES) {
+                *field(&mut scan) = prime * scale;
+            }
+            agg_relational::WaveStats {
+                scan,
+                ..Default::default()
+            }
+        };
+        // Two waves into one evaluator, a third into another; merged.
+        let mut eval = crate::evaluate::EvalStats::default();
+        eval.absorb(&wave(1, 3));
+        eval.absorb(&wave(10, 2));
+        let mut other = crate::evaluate::EvalStats::default();
+        other.absorb(&wave(100, 1));
+        eval.merge(&other);
+        // The document's report carries them; the service sums documents.
+        let run = RunStats {
+            scan: eval.scan,
+            ..RunStats::default()
+        };
+        let mut service = StreamStats::default();
+        service.absorb(&run);
+        service.absorb(&run);
+        for ((name, field), prime) in SUMMED.iter().zip(PRIMES) {
+            assert_eq!(*field(&mut eval.scan), prime * 111, "{name} after merge");
+            assert_eq!(
+                *field(&mut service.scan),
+                prime * 222,
+                "{name} at the service"
+            );
+        }
+        assert_eq!(eval.tasks_executed, 2 * 111, "readable through Deref");
+        assert_eq!(eval.cubes_executed, eval.tasks_executed);
+        assert_eq!(service.partition_parallelism, 3, "the gauge takes the max");
+    }
 
     /// Figure 2's database (same fixture as the pipeline tests).
     fn nfl_db() -> Database {
@@ -1667,9 +1616,8 @@ Three were for repeated substance abuse, one was for gambling.</p>
             rejected >= 1,
             "a single worker cannot outrun an immediate drop of 8 queued docs"
         );
-        let c = &stats_handle.counters;
-        assert_eq!(c.completed.load(Ordering::Relaxed), oks);
-        assert_eq!(c.rejected.load(Ordering::Relaxed), rejected);
+        let c = *lock(&stats_handle.counters);
+        assert_eq!((c.completed, c.rejected), (oks, rejected));
     }
 
     /// Mid-stream appends: rows added through the live service become
@@ -1764,7 +1712,7 @@ Three were for repeated substance abuse, one was for gambling.</p>
             queue_len: AtomicUsize::new(0),
             in_flight: AtomicUsize::new(0),
             closed: AtomicBool::new(false),
-            counters: Counters::default(),
+            counters: Mutex::default(),
         };
         let cell = Arc::new(TicketCell::new());
         let ctrl = Arc::new(DocControl::new(None));
@@ -1787,7 +1735,7 @@ Three were for repeated substance abuse, one was for gambling.</p>
         assert!(matches!(result, Err(CheckerError::Stream(_))));
         let intake = lock(&shared.intake);
         assert!(intake.closed && intake.rejecting && intake.len == 0);
-        assert_eq!(shared.counters.rejected.load(Ordering::Relaxed), 1);
+        assert_eq!(lock(&shared.counters).rejected, 1);
         assert_eq!(shared.queue_len.load(Ordering::Acquire), 0);
     }
 

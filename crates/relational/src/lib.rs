@@ -13,13 +13,13 @@
 //! * a naive per-query executor ([`exec`]),
 //! * the `GROUP BY CUBE` operator with `InOrDefault` literal remapping
 //!   (§6.2 of the paper, [`cube`]),
-//! * a merge planner that covers many candidate queries with few cube
-//!   executions (§6.2, [`merge`]),
 //! * a result cache shared across claims and EM iterations (§6.3,
 //!   [`cache`]), with per-key single-flight so concurrent workers compute
 //!   each cube exactly once,
-//! * a cube-task scheduler that turns merged plans into independent units
-//!   of parallel work ([`schedule`]), and
+//! * a cube-task scheduler and wave-orchestration layer that turns the
+//!   merged cube requests of §6.2 (planned by `agg-core`'s evaluator) into
+//!   fused, parallel scan passes, and declares the scan counters every
+//!   layer above reports ([`schedule`]), and
 //! * a simple evaluation cost model (§6.1, [`cost`]).
 //!
 //! The engine deliberately supports only the query class from Definition 2 of
@@ -42,7 +42,6 @@ pub mod error;
 pub mod exec;
 pub mod fxhash;
 pub mod join;
-pub mod merge;
 pub mod query;
 pub mod schedule;
 pub mod schema;
@@ -69,11 +68,10 @@ pub use error::{RelationalError, Result};
 pub use exec::{execute_all_naive, execute_query};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use join::{JoinPath, JoinedRelation};
-pub use merge::{MergePlan, MergePlanner, MergeStats};
 pub use query::{AggColumn, AggFunction, Predicate, SimpleAggregateQuery};
 pub use schedule::{
-    run_requests, run_wave, CubeScheduler, CubeTask, ScanGroup, TaskBundling, TaskHandle, WaveExec,
-    WaveOutcome, WaveRequest, WaveStats, MAX_POISON_RETRIES,
+    run_requests, run_wave, CubeScheduler, CubeTask, ScanCounters, ScanGroup, TaskBundling,
+    TaskHandle, WaveExec, WaveOutcome, WaveRequest, WaveStats, MAX_POISON_RETRIES,
 };
 pub use schema::{ColumnMeta, ForeignKey, TableSchema};
 pub use table::Table;

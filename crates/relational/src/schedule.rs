@@ -21,10 +21,13 @@
 //!   degenerates to exact sequential execution; batch verification shares
 //!   **one** scheduler across all documents ([`CubeScheduler::run_worker`]);
 //! * [`run_requests`] is the **one** implementation of the
-//!   probe → bundle → fuse → execute → collect-with-poison-retry protocol.
-//!   Both `core::evaluate::Evaluator::evaluate_all` and
-//!   `MergePlan::execute_*`(crate::merge::MergePlan) drive their waves
-//!   through it, so the single-flight protocol exists exactly once.
+//!   probe → bundle → fuse → execute → collect-with-poison-retry protocol,
+//!   and `core::evaluate::Evaluator::evaluate_all` — the §6.2 merge
+//!   planner — is its one client, so the single-flight protocol exists
+//!   exactly once;
+//! * [`ScanCounters`] is the **one** declaration of the scan-plane
+//!   counters a wave reports. Every layer above (`EvalStats`, `RunStats`,
+//!   `StreamStats`) embeds it and folds with [`ScanCounters::merge`].
 //!
 //! # ScanGroup fusion invariants
 //!
@@ -129,7 +132,7 @@ use crate::cache::{
 };
 use crate::cube::{
     execute_fused_in, execute_patches_in, patchable_function, validate_fused, CubeOptions,
-    CubePass, CubeQuery, CubeResult, GridArena, PartitionGrids, ScanCheckpoint,
+    CubePass, CubeQuery, CubeResult, CubeStats, GridArena, PartitionGrids, ScanCheckpoint,
 };
 use crate::database::{ColumnRef, Database};
 use crate::error::{RelationalError, Result};
@@ -954,8 +957,111 @@ pub struct WaveExec<'a> {
     pub partition_blocks: usize,
 }
 
-/// Scheduling counters for one wave, in the orchestration layer's own
-/// units; callers fold them into their stats structs.
+/// The scan-plane counters that travel unchanged from [`run_requests`] to
+/// the wire: declared here once, embedded by [`WaveStats`] and by every
+/// stats struct above it (`EvalStats`, `RunStats`, `StreamStats` in
+/// `agg-core`), and folded hop to hop by [`ScanCounters::merge`].
+/// `docs/operations.md` tabulates them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanCounters {
+    /// Cube tasks executed, poison-retry takeovers included.
+    pub tasks_executed: u64,
+    /// Fused row passes executed: same-scope tasks of one wave share a
+    /// single scan ([`ScanGroup`]), so this is the number of physical
+    /// table scans — compare with `tasks_executed` for the fusion factor.
+    pub scan_passes: u64,
+    /// Real rows read by those passes (each pass counts its relation
+    /// length once, however many member grids it feeds).
+    pub rows_scanned: u64,
+    /// Poisoned-flight wake-ups absorbed: each one re-probes the cache
+    /// (bounded per aggregate, see [`MAX_POISON_RETRIES`]) before possibly
+    /// computing the key inline. 0 in fault-free runs.
+    pub poison_retries: u64,
+    /// Compressed storage blocks decoded, summed over member grids (each
+    /// member decodes its own dimension blocks; 0 on plain columns).
+    pub blocks_scanned: u64,
+    /// Blocks bulk-applied from zone-map metadata without decoding.
+    pub blocks_skipped: u64,
+    /// Encoded payload bytes read by the decoded blocks.
+    pub bytes_scanned: u64,
+    /// Fixed partitions scanned (each partitioned pass counts its
+    /// partition count once, like `rows_scanned`; a single-partition pass
+    /// counts 0). Worker-count independent — the `partition-gate` pins it.
+    pub partitions_scanned: u64,
+    /// Partition-grid merges performed, summed per member task (each
+    /// member's grids really fold `partitions − 1` times). Worker-count
+    /// independent.
+    pub partition_merges: u64,
+    /// Max distinct workers observed on any one partitioned pass — a
+    /// gauge, the only counter here that may legitimately vary run to run,
+    /// which is why it stays out of report fingerprints.
+    pub partition_parallelism: u32,
+    /// Cached grids patched forward from a checkpoint over just the
+    /// appended rows ([`crate::cube::execute_patches_in`]) instead of
+    /// cold-rescanning the corpus — one per patch pass.
+    pub grids_patched: u64,
+    /// Appended-tail rows scanned by those patch passes (a subset of
+    /// `rows_scanned`): the whole cost of incremental re-verification,
+    /// versus the full-corpus rows a cold rescan would have read.
+    pub delta_rows_scanned: u64,
+}
+
+impl ScanCounters {
+    /// Fold `other` in: every counter sums; the parallelism gauge takes
+    /// the max.
+    pub fn merge(&mut self, other: &ScanCounters) {
+        self.tasks_executed += other.tasks_executed;
+        self.scan_passes += other.scan_passes;
+        self.rows_scanned += other.rows_scanned;
+        self.poison_retries += other.poison_retries;
+        self.blocks_scanned += other.blocks_scanned;
+        self.blocks_skipped += other.blocks_skipped;
+        self.bytes_scanned += other.bytes_scanned;
+        self.partitions_scanned += other.partitions_scanned;
+        self.partition_merges += other.partition_merges;
+        self.partition_parallelism = self.partition_parallelism.max(other.partition_parallelism);
+        self.grids_patched += other.grids_patched;
+        self.delta_rows_scanned += other.delta_rows_scanned;
+    }
+
+    /// Average member tasks per fused pass (1.0 when nothing fused; 0.0
+    /// when nothing executed).
+    pub fn fused_tasks_per_pass(&self) -> f64 {
+        if self.scan_passes == 0 {
+            0.0
+        } else {
+            self.tasks_executed as f64 / self.scan_passes as f64
+        }
+    }
+
+    /// Charge one executed member task. Block and merge counters are per
+    /// member grid (each member decodes its own dimension blocks and folds
+    /// its own partition grids), so they sum per task.
+    fn charge_member(&mut self, cube: &CubeStats) {
+        self.tasks_executed += 1;
+        self.blocks_scanned += cube.blocks_scanned;
+        self.blocks_skipped += cube.blocks_skipped;
+        self.bytes_scanned += cube.bytes_scanned;
+        self.partition_merges += cube.partition_merges;
+        self.partition_parallelism = self.partition_parallelism.max(cube.partition_parallelism);
+        self.grids_patched += cube.grids_patched;
+    }
+
+    /// Charge one physical pass from any one member's stats: every member
+    /// of a pass scans the same relation (and the same partitions of it),
+    /// so rows, partitions and — for patch passes — the shared appended
+    /// tail count once per pass.
+    fn charge_pass(&mut self, cube: &CubeStats) {
+        self.scan_passes += 1;
+        self.rows_scanned += cube.rows_scanned;
+        self.partitions_scanned += cube.partitions_scanned;
+        self.delta_rows_scanned += cube.delta_rows_scanned;
+    }
+}
+
+/// Scheduling counters for one wave: the cache ledger in the orchestration
+/// layer's own units, plus the shared [`ScanCounters`] (readable as plain
+/// fields through `Deref`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WaveStats {
     /// Aggregate keys served from resident cache slices.
@@ -963,47 +1069,14 @@ pub struct WaveStats {
     /// Keys served by joining another worker's in-flight computation (net
     /// of poisoned flights this wave ended up computing itself).
     pub key_waits: u64,
-    /// Requests that needed no task of their own (every key resident or
-    /// in flight elsewhere).
-    pub groups_fully_served: u64,
-    /// Cube tasks executed on behalf of this wave, poison-retry takeovers
-    /// included.
-    pub tasks_executed: u64,
-    /// Fused row passes executed for this wave's tasks.
-    pub scan_passes: u64,
-    /// Real rows read by those passes (each pass counts its relation
-    /// length once, however many member grids it feeds).
-    pub rows_scanned: u64,
-    /// Poisoned-flight wake-ups absorbed by this wave: each one re-probes
-    /// the cache (bounded per aggregate, see [`MAX_POISON_RETRIES`])
-    /// before possibly computing the key inline.
-    pub poison_retries: u64,
-    /// Compressed storage blocks decoded by this wave's scans, summed over
-    /// member grids (each member decodes its own dimension blocks).
-    pub blocks_scanned: u64,
-    /// Blocks bulk-applied from zone-map metadata without decoding.
-    pub blocks_skipped: u64,
-    /// Encoded payload bytes read by the decoded blocks.
-    pub bytes_scanned: u64,
-    /// Fixed partitions scanned by this wave's passes (each partitioned
-    /// pass counts its partition count once, like `rows_scanned`; a
-    /// single-partition pass counts 0). Worker-count independent.
-    pub partitions_scanned: u64,
-    /// Partition-grid merges performed, summed per member task (each
-    /// member's grids really fold `partitions − 1` times). Worker-count
-    /// independent.
-    pub partition_merges: u64,
-    /// Max distinct workers observed on any one partitioned pass — a
-    /// gauge, the only counter here that may legitimately vary run to run.
-    pub partition_parallelism: u32,
-    /// Cached grids patched forward from a checkpoint over just the
-    /// appended rows ([`crate::cube::execute_patches_in`]) instead of
-    /// cold-rescanning the corpus — one per patch pass.
-    pub grids_patched: u64,
-    /// Appended-tail rows scanned by those patch passes. The savings claim
-    /// of incremental re-verification is `delta_rows_scanned` versus the
-    /// full-corpus rows a cold rescan would have read.
-    pub delta_rows_scanned: u64,
+    pub scan: ScanCounters,
+}
+
+impl std::ops::Deref for WaveStats {
+    type Target = ScanCounters;
+    fn deref(&self) -> &ScanCounters {
+        &self.scan
+    }
 }
 
 /// One wave's finished slices: `slices[request][aggregate]`, aligned with
@@ -1049,8 +1122,7 @@ enum Slot {
 /// [`ScanGroup`]s, execute them (on the shared scheduler or a scoped
 /// pool), then collect — own tasks first, foreign flights after, with
 /// poisoned flights retried inline. This is the **only** implementation of
-/// the probe/bundle/wave/collect protocol; `core::evaluate` and
-/// `crate::merge` both consume it.
+/// the probe/bundle/wave/collect protocol; `core::evaluate` is its client.
 pub fn run_requests(
     db: &Arc<Database>,
     exec: &WaveExec<'_>,
@@ -1131,7 +1203,6 @@ pub fn run_requests(
         requests.iter().zip(missing).zip(slots.iter_mut())
     {
         if request_missing.is_empty() {
-            stats.groups_fully_served += 1;
             continue;
         }
         // Bundles are keyed by (column, patch class): aggregates whose
@@ -1238,27 +1309,11 @@ pub fn run_requests(
     let mut task_results: Vec<Arc<CubeResult>> = Vec::with_capacity(handles.len());
     for handle in handles {
         let result = handle.into_result()?;
-        stats.tasks_executed += 1;
-        // Block counters are per member grid (each member decodes its own
-        // dimension blocks), so they sum per task, unlike rows below.
-        stats.blocks_scanned += result.stats.blocks_scanned;
-        stats.blocks_skipped += result.stats.blocks_skipped;
-        stats.bytes_scanned += result.stats.bytes_scanned;
-        stats.partition_merges += result.stats.partition_merges;
-        stats.partition_parallelism = stats
-            .partition_parallelism
-            .max(result.stats.partition_parallelism);
-        stats.grids_patched += result.stats.grids_patched;
+        stats.scan.charge_member(&result.stats);
         task_results.push(result);
     }
     for (_, members) in &pass_members {
-        stats.scan_passes += 1;
-        // Every member of a pass scans the same relation (and the same
-        // partitions of it); charge rows and partitions — and for patch
-        // passes the shared appended tail — once per pass.
-        stats.rows_scanned += task_results[members[0]].stats.rows_scanned;
-        stats.partitions_scanned += task_results[members[0]].stats.partitions_scanned;
-        stats.delta_rows_scanned += task_results[members[0]].stats.delta_rows_scanned;
+        stats.scan.charge_pass(&task_results[members[0]].stats);
     }
     let mut resolved: Vec<Vec<CachedSlice>> = Vec::with_capacity(requests.len());
     for (request, request_slots) in requests.iter().zip(slots) {
@@ -1311,7 +1366,7 @@ fn resolve_wait(
         let rows = db.watermark();
         let cache = exec.cache.expect("waits only exist with a cache");
         retries += 1;
-        stats.poison_retries += 1;
+        stats.scan.poison_retries += 1;
         cache.note_poison_retry(&key);
         if retries > MAX_POISON_RETRIES {
             return Err(RelationalError::Execution(format!(
@@ -1368,19 +1423,8 @@ fn resolve_wait(
                 }
                 run_wave(db, exec.arena, groups, std::slice::from_ref(&handle), 1);
                 let result = handle.into_result()?;
-                stats.tasks_executed += 1;
-                stats.scan_passes += 1;
-                stats.rows_scanned += result.stats.rows_scanned;
-                stats.blocks_scanned += result.stats.blocks_scanned;
-                stats.blocks_skipped += result.stats.blocks_skipped;
-                stats.bytes_scanned += result.stats.bytes_scanned;
-                stats.partitions_scanned += result.stats.partitions_scanned;
-                stats.partition_merges += result.stats.partition_merges;
-                stats.partition_parallelism = stats
-                    .partition_parallelism
-                    .max(result.stats.partition_parallelism);
-                stats.grids_patched += result.stats.grids_patched;
-                stats.delta_rows_scanned += result.stats.delta_rows_scanned;
+                stats.scan.charge_member(&result.stats);
+                stats.scan.charge_pass(&result.stats);
                 return Ok(CachedSlice::new(result, pos, f, rows));
             }
         }
@@ -1621,7 +1665,6 @@ mod tests {
         assert_eq!(second.stats.tasks_executed, 0);
         assert_eq!(second.stats.scan_passes, 0);
         assert_eq!(second.stats.key_hits, 2);
-        assert_eq!(second.stats.groups_fully_served, 2);
         assert_eq!(
             second.slices[1][0].lookup(&[None]),
             first.slices[1][0].lookup(&[None])

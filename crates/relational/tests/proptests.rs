@@ -2,8 +2,8 @@
 
 use agg_relational::{
     execute_query, run_wave, AggColumn, AggFunction, ColumnMeta, CubeOptions, CubeQuery, CubeTask,
-    DataType, Database, DimSel, EvalCache, GridMode, MergePlanner, Predicate, ScanGroup,
-    SimpleAggregateQuery, StringDictionary, Table, TableSchema, Value,
+    DataType, Database, DimSel, GridMode, Predicate, ScanGroup, SimpleAggregateQuery,
+    StringDictionary, Table, TableSchema, Value,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -45,7 +45,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Merge planner ≡ naive execution on random batches
+// Cube execution ≡ naive execution on random data
 // ---------------------------------------------------------------------------
 
 fn random_db(rows: &[(u8, u8, i64)]) -> Database {
@@ -122,33 +122,6 @@ fn materialize_query(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn merge_plan_matches_naive_for_random_batches(
-        rows in prop::collection::vec((0u8..3, 0u8..2, -50i64..50), 1..40),
-        specs in prop::collection::vec(arb_query(), 1..12),
-    ) {
-        let db = std::sync::Arc::new(random_db(&rows));
-        let queries: Vec<SimpleAggregateQuery> = specs
-            .into_iter()
-            .filter_map(|s| materialize_query(&db, s))
-            .collect();
-        prop_assume!(!queries.is_empty());
-
-        let plan = MergePlanner::plan(&db, &queries).unwrap();
-        let (merged, _) = plan.execute(&db).unwrap();
-        let cache = EvalCache::new();
-        let (cached, _) = plan.execute_cached(&db, &cache).unwrap();
-        let (cached2, stats2) = plan.execute_cached(&db, &cache).unwrap();
-        prop_assert_eq!(stats2.cubes_executed, 0, "second run fully cached");
-
-        for (i, q) in queries.iter().enumerate() {
-            let naive = execute_query(&db, q).unwrap();
-            prop_assert_eq!(merged[i], naive, "merged vs naive: {}", q.to_sql(&db));
-            prop_assert_eq!(cached[i], naive, "cached vs naive: {}", q.to_sql(&db));
-            prop_assert_eq!(cached2[i], naive, "warm cache vs naive: {}", q.to_sql(&db));
-        }
-    }
 
     #[test]
     fn cube_grid_modes_and_naive_scans_agree(

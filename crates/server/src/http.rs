@@ -8,9 +8,14 @@
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 
-/// Largest accepted header block + body. Documents are text summaries,
-/// not uploads; anything bigger is a client error.
+/// Largest accepted body. Documents are text summaries, not uploads;
+/// anything bigger is a client error.
 pub const MAX_REQUEST_LEN: usize = 16 * 1024 * 1024;
+
+/// Largest accepted header block (request line + headers, up to the blank
+/// line). A peer that streams more than this without a blank line is
+/// rejected as malformed instead of being buffered and re-searched.
+pub const MAX_HEAD_LEN: usize = 64 * 1024;
 
 /// One parsed request. Header names are lowercased.
 #[derive(Debug, Clone)]
@@ -45,6 +50,10 @@ pub enum HttpOutcome {
 #[derive(Debug, Default)]
 pub struct HttpReader {
     buf: Vec<u8>,
+    /// Prefix of `buf` already searched for the head terminator, so each
+    /// read searches only its own bytes (a headerless stream costs linear,
+    /// not quadratic, CPU).
+    searched: usize,
 }
 
 impl HttpReader {
@@ -54,19 +63,25 @@ impl HttpReader {
 
     /// Seed the buffer with bytes already read (protocol sniffing).
     pub fn with_buffered(buf: Vec<u8>) -> HttpReader {
-        HttpReader { buf }
+        HttpReader { buf, searched: 0 }
     }
 
     fn try_pop(&mut self) -> io::Result<Option<Request>> {
-        let Some(head_end) = find_subslice(&self.buf, b"\r\n\r\n") else {
-            if self.buf.len() > MAX_REQUEST_LEN {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "request header block too large",
-                ));
-            }
+        // Resume where the last search stopped, backing up over the three
+        // bytes a terminator split across two reads may have left behind.
+        let from = self.searched.saturating_sub(3);
+        let head_end = find_subslice(&self.buf[from..], b"\r\n\r\n").map(|i| from + i);
+        if head_end.unwrap_or(self.buf.len()) > MAX_HEAD_LEN {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "request header block too large",
+            ));
+        }
+        let Some(head_end) = head_end else {
+            self.searched = self.buf.len();
             return Ok(None);
         };
+        self.searched = head_end;
         let head = std::str::from_utf8(&self.buf[..head_end])
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 request head"))?
             .to_string();
@@ -109,6 +124,7 @@ impl HttpReader {
             body,
         };
         self.buf.drain(..body_start + content_length);
+        self.searched = 0;
         Ok(Some(request))
     }
 
@@ -211,6 +227,88 @@ mod tests {
         let mut reader =
             HttpReader::with_buffered(b"POST / HTTP/1.1\r\nContent-Length: x\r\n\r\n".to_vec());
         assert!(reader.read_from(&mut &[][..]).is_err());
+    }
+
+    /// Delivers `data` in reads of at most `step` bytes, like a TCP peer
+    /// sending MSS-sized segments, and counts what the reader consumed.
+    struct Trickle<'d> {
+        data: &'d [u8],
+        step: usize,
+        consumed: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = self.step.min(out.len()).min(self.data.len());
+            out[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            self.consumed += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn headerless_stream_is_rejected_at_the_head_cap() {
+        let flood = vec![b'a'; 16 * 1024 * 1024];
+        let mut peer = Trickle {
+            data: &flood,
+            step: 1460,
+            consumed: 0,
+        };
+        let mut reader = HttpReader::with_buffered(b"GET ".to_vec());
+        let err = reader.read_from(&mut peer).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            peer.consumed <= MAX_HEAD_LEN + 1460,
+            "gave up after {} bytes",
+            peer.consumed
+        );
+    }
+
+    #[test]
+    fn oversized_header_block_is_invalid_data_even_when_terminated() {
+        let mut raw = b"GET /v1/stats HTTP/1.1\r\nX-Pad: ".to_vec();
+        raw.resize(65 * 1024, b'a');
+        raw.extend_from_slice(b"\r\n\r\n");
+        let mut reader = HttpReader::with_buffered(raw);
+        let err = reader.read_from(&mut &[][..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn terminator_split_across_reads_is_found() {
+        let raw = b"GET /v1/stats HTTP/1.1\r\nHost: x\r\n\r\n";
+        for cut in raw.len() - 4..raw.len() {
+            let mut reader = HttpReader::new();
+            assert!(matches!(
+                reader.read_from(&mut &raw[..cut]).unwrap(),
+                HttpOutcome::Eof
+            ));
+            match reader.read_from(&mut &raw[cut..]).unwrap() {
+                HttpOutcome::Request(r) => assert_eq!(r.path, "/v1/stats"),
+                other => panic!("cut {cut}: expected request, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn large_body_after_a_small_head_still_parses() {
+        let body = vec![b'x'; 1024 * 1024];
+        let mut raw = format!(
+            "POST /v1/documents HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        raw.extend_from_slice(&body);
+        let mut peer = Trickle {
+            data: &raw,
+            step: 1460,
+            consumed: 0,
+        };
+        match HttpReader::new().read_from(&mut peer).unwrap() {
+            HttpOutcome::Request(r) => assert_eq!(r.body, body),
+            other => panic!("expected request, got {other:?}"),
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! codecs throughout ([`http`], [`json`], [`protocol`]).
 //!
 //! The wire contract is written down in `docs/protocol.md` (normative,
-//! byte-level) and kept honest by CI: `cargo run -p xtask -- docs-gate`
-//! fails if the opcode table there drifts from [`protocol::Opcode`].
+//! byte-level) and kept honest by [`protocol`]'s unit tests, which fail if
+//! the opcode or stats tables there drift from the code.
 //! `docs/architecture.md` traces a submission end-to-end;
 //! `docs/operations.md` is the `verifyd` runbook.
 //!
@@ -109,10 +109,11 @@ pub mod http;
 pub mod json;
 pub mod protocol;
 
+use agg_core::report::wire;
 use agg_core::stream::{StreamingVerifier, SubmitError, SubmitOptions, Ticket};
 use agg_core::{ClaimProgress, ProgressObserver, VerificationReport};
 use protocol::{errcode, FrameReader, Opcode, ReadOutcome, WireStats};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -174,6 +175,12 @@ struct Counters {
     malformed_frames: AtomicU64,
 }
 
+/// How many *settled* HTTP documents the registry retains for polling.
+/// Past this, the settled document with the lowest id is forgotten and a
+/// poll for it answers `404 unknown document`. Unsettled entries are not
+/// counted: the intake queue plus the worker count already bound them.
+pub const MAX_SETTLED_DOCS: usize = 1024;
+
 /// One HTTP-submitted document: the ticket, and the settled result once
 /// a poll has claimed it (polls are idempotent — the first one to find
 /// the ticket done caches the report here).
@@ -182,12 +189,20 @@ struct DocEntry {
     done: Option<Result<VerificationReport, String>>,
 }
 
+impl DocEntry {
+    fn settled(&self) -> bool {
+        self.done.is_some() || self.ticket.is_done()
+    }
+}
+
 struct ServerShared {
     namespaces: HashMap<String, Arc<StreamingVerifier>>,
     /// Namespace used by HTTP submissions that name none: the first one
     /// passed to [`VerifyServer::start`].
     default_namespace: String,
-    registry: Mutex<HashMap<u64, DocEntry>>,
+    /// Ordered by id (ids are monotone), so eviction finds the oldest
+    /// settled entry first.
+    registry: Mutex<BTreeMap<u64, DocEntry>>,
     next_doc: AtomicU64,
     next_conn: AtomicU64,
     counters: Counters,
@@ -230,7 +245,7 @@ impl VerifyServer {
                 .map(|(name, service)| (name, Arc::new(service)))
                 .collect(),
             default_namespace,
-            registry: Mutex::new(HashMap::new()),
+            registry: Mutex::new(BTreeMap::new()),
             next_doc: AtomicU64::new(0),
             next_conn: AtomicU64::new(0),
             counters: Counters::default(),
@@ -268,7 +283,11 @@ impl VerifyServer {
                                     .fetch_sub(1, Ordering::SeqCst);
                             })
                             .expect("spawn connection thread");
-                        lock(&accept_conns).push(handle);
+                        // Reap as we go: a long-lived server must not keep
+                        // a handle per connection ever accepted.
+                        let mut conns = lock(&accept_conns);
+                        conns.retain(|conn| !conn.is_finished());
+                        conns.push(handle);
                     }
                     // Non-blocking accept: nothing pending (or a
                     // transient error) — nap and re-check shutdown.
@@ -508,7 +527,21 @@ fn submit_document(
     match service.submit_text_with(text, opts) {
         Ok(ticket) => {
             let id = shared.next_doc.fetch_add(1, Ordering::SeqCst) + 1;
-            lock(&shared.registry).insert(
+            let mut registry = lock(&shared.registry);
+            // Make room first, so settled entries never exceed the cap
+            // even once this document settles too.
+            if registry.len() >= MAX_SETTLED_DOCS {
+                let settled: Vec<u64> = registry
+                    .iter()
+                    .filter(|(_, entry)| entry.settled())
+                    .map(|(&id, _)| id)
+                    .collect();
+                let excess = (settled.len() + 1).saturating_sub(MAX_SETTLED_DOCS);
+                for old in &settled[..excess] {
+                    registry.remove(old);
+                }
+            }
+            registry.insert(
                 id,
                 DocEntry {
                     ticket: Arc::new(ticket),
@@ -589,16 +622,6 @@ fn cancel_document(shared: &Arc<ServerShared>, id_text: &str) -> (u16, &'static 
     (200, "OK", format!("{{\"id\":{id},\"cancelled\":true}}"))
 }
 
-/// Finite floats print bare; NaN/inf have no JSON spelling and become
-/// null.
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn report_json(id: u64, report: &VerificationReport) -> String {
     let claims: Vec<String> = report
         .claims
@@ -613,33 +636,58 @@ fn report_json(id: u64, report: &VerificationReport) -> String {
             format!(
                 "{{\"index\":{index},\"sentence\":\"{}\",\"claimed_value\":{},\"verdict\":\"{}\",\"correctness_probability\":{},\"best_query\":{best}}}",
                 json::escape(&claim.sentence),
-                num(claim.claimed_value),
+                wire::json_f64(claim.claimed_value),
                 protocol::verdict_name(claim.verdict),
-                num(claim.correctness_probability),
+                wire::json_f64(claim.correctness_probability),
             )
         })
         .collect();
-    let stats = &report.stats;
+    // The "stats" object is `RunStats` as the wire carries it, minus the
+    // scheduling-ledger fields the HTTP view never exposed.
+    const OMITTED: [&str; 7] = [
+        "cubes_executed",
+        "cubes_cached",
+        "tasks_executed",
+        "tasks_deduped",
+        "singleflight_waits",
+        "poison_retries",
+        "candidate_space_log10",
+    ];
+    let mut stats = report.stats;
+    let shown = wire::RUN_STATS_FIELDS
+        .iter()
+        .filter(|(name, _)| !OMITTED.contains(name));
     format!(
-        "{{\"id\":{id},\"status\":\"{}\",\"claims\":[{}],\"stats\":{{\"claims\":{},\"em_iterations\":{},\"candidates_evaluated\":{},\"rows_scanned\":{},\"scan_passes\":{},\"blocks_scanned\":{},\"blocks_skipped\":{},\"bytes_scanned\":{},\"partitions_scanned\":{},\"partition_merges\":{},\"partition_parallelism\":{},\"grids_patched\":{},\"delta_rows_scanned\":{}}},\"fingerprint\":\"{}\"}}",
+        "{{\"id\":{id},\"status\":\"{}\",\"claims\":[{}],\"stats\":{{{}}},\"fingerprint\":\"{}\"}}",
         protocol::status_name(report.status),
         claims.join(","),
-        stats.claims,
-        stats.em_iterations,
-        stats.candidates_evaluated,
-        stats.rows_scanned,
-        stats.scan_passes,
-        stats.blocks_scanned,
-        stats.blocks_skipped,
-        stats.bytes_scanned,
-        stats.partitions_scanned,
-        stats.partition_merges,
-        stats.partition_parallelism,
-        stats.grids_patched,
-        stats.delta_rows_scanned,
+        json_members(&mut stats, shown),
         json::escape(&report.content_fingerprint()),
     )
 }
+
+/// `"name":value` members, comma-joined, for the given fields of `s`.
+fn json_members<'f, S: 'f>(
+    s: &mut S,
+    fields: impl Iterator<Item = &'f wire::StatField<S>>,
+) -> String {
+    let members: Vec<String> = fields
+        .map(|(name, slot)| format!("\"{name}\":{}", slot(s).text()))
+        .collect();
+    members.join(",")
+}
+
+/// The keys of one `/v1/stats` namespace object, in order; each names a
+/// [`protocol::STATS_OK_FIELDS`] entry, which supplies the value.
+#[rustfmt::skip]
+const NAMESPACE_JSON_KEYS: [&str; 28] = [
+    "submitted", "completed", "failed", "rejected", "timed_out", "cancelled", "partial",
+    "respawns", "poison_retries", "queue_depth_high_water", "in_flight_high_water", "claims",
+    "rows_scanned", "tasks_executed", "tasks_deduped", "singleflight_waits", "scan_passes",
+    "blocks_scanned", "blocks_skipped", "bytes_scanned", "partitions_scanned", "partition_merges",
+    "partition_parallelism", "grids_patched", "delta_rows_scanned",
+    "queue_depth", "in_flight", "lanes",
+];
 
 /// One namespace's entry of the `/v1/stats` `"namespaces"` object.
 fn namespace_json(
@@ -649,41 +697,23 @@ fn namespace_json(
     in_flight: usize,
     lane_depths: &[(u64, usize)],
 ) -> String {
-    let lanes: Vec<String> = lane_depths
-        .iter()
-        .map(|(lane, depth)| format!("{{\"lane\":{lane},\"depth\":{depth}}}"))
-        .collect();
+    let mut stats = WireStats {
+        stream: *s,
+        queue_depth: queue_depth as u64,
+        in_flight: in_flight as u64,
+        lane_depths: lane_depths.iter().map(|&(l, d)| (l, d as u64)).collect(),
+        ..WireStats::default()
+    };
+    let fields = NAMESPACE_JSON_KEYS.iter().map(|key| {
+        protocol::STATS_OK_FIELDS
+            .iter()
+            .find(|(name, _)| name == key)
+            .expect("every namespace key names a StatsOk field")
+    });
     format!(
-        "\"{}\":{{\"submitted\":{},\"completed\":{},\"failed\":{},\"rejected\":{},\"timed_out\":{},\"cancelled\":{},\"partial\":{},\"respawns\":{},\"poison_retries\":{},\"queue_depth_high_water\":{},\"in_flight_high_water\":{},\"claims\":{},\"rows_scanned\":{},\"tasks_executed\":{},\"tasks_deduped\":{},\"singleflight_waits\":{},\"scan_passes\":{},\"blocks_scanned\":{},\"blocks_skipped\":{},\"bytes_scanned\":{},\"partitions_scanned\":{},\"partition_merges\":{},\"partition_parallelism\":{},\"grids_patched\":{},\"delta_rows_scanned\":{},\"queue_depth\":{},\"in_flight\":{},\"lanes\":[{}]}}",
+        "\"{}\":{{{}}}",
         json::escape(name),
-        s.submitted,
-        s.completed,
-        s.failed,
-        s.rejected,
-        s.timed_out,
-        s.cancelled,
-        s.partial,
-        s.respawns,
-        s.poison_retries,
-        s.queue_depth_high_water,
-        s.in_flight_high_water,
-        s.claims,
-        s.rows_scanned,
-        s.tasks_executed,
-        s.tasks_deduped,
-        s.singleflight_waits,
-        s.scan_passes,
-        s.blocks_scanned,
-        s.blocks_skipped,
-        s.bytes_scanned,
-        s.partitions_scanned,
-        s.partition_merges,
-        s.partition_parallelism,
-        s.grids_patched,
-        s.delta_rows_scanned,
-        queue_depth,
-        in_flight,
-        lanes.join(","),
+        json_members(&mut stats, fields)
     )
 }
 
@@ -1058,8 +1088,76 @@ fn binary_handshake(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agg_core::report::wire;
-    use agg_core::ReportStatus;
+    use agg_core::{CheckerConfig, ReportStatus, StreamConfig};
+    use agg_relational::{Database, Table};
+    use std::io::Write;
+
+    fn demo_server() -> VerifyServer {
+        let table = Table::from_columns("sales", vec![("region", vec!["west".into()])]).unwrap();
+        let mut db = Database::new("demo");
+        db.add_table(table);
+        let service =
+            StreamingVerifier::new(db, CheckerConfig::default(), StreamConfig::default()).unwrap();
+        let config = ServerConfig {
+            poll_interval: Duration::from_millis(5),
+            ..ServerConfig::default()
+        };
+        VerifyServer::start("127.0.0.1:0", vec![("demo".into(), service)], config).unwrap()
+    }
+
+    /// A long-lived server forgets the oldest settled documents instead
+    /// of keeping every report forever.
+    #[test]
+    fn registry_retains_a_bounded_number_of_settled_documents() {
+        let server = demo_server();
+        let shared = &server.shared;
+        let total = MAX_SETTLED_DOCS as u64 + 10;
+        for id in 1..=total {
+            let (status, _, _) = submit_document(shared, 1, b"{\"text\":\"<p>No claims.</p>\"}");
+            assert_eq!(status, 202);
+            // Settle before the next submission, polled or not.
+            let ticket = Arc::clone(&lock(&shared.registry)[&id].ticket);
+            while !ticket.is_done() {
+                thread::sleep(Duration::from_millis(1));
+            }
+        }
+        assert_eq!(lock(&shared.registry).len(), MAX_SETTLED_DOCS);
+        let (status, _, body) = poll_document(shared, &total.to_string());
+        assert_eq!(status, 200);
+        assert!(body.contains("\"status\":\"complete\""), "{body}");
+        let (status, _, body) = poll_document(shared, "1");
+        assert_eq!(
+            (status, body.as_str()),
+            (404, "{\"error\":\"unknown document\"}")
+        );
+    }
+
+    /// Finished connection threads are reaped as new connections arrive.
+    #[test]
+    fn connection_handles_are_reaped_as_connections_close() {
+        let server = demo_server();
+        let request = || {
+            let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+            write!(sock, "GET /v1/stats HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+            let mut response = String::new();
+            sock.read_to_string(&mut response).unwrap();
+            assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+        };
+        for _ in 0..50 {
+            request();
+        }
+        // Each accept reaps the threads that finished before it; a thread
+        // may lag its socket's close by a moment, so allow a few rounds.
+        let bounded = (0..100).any(|_| {
+            request();
+            let held = lock(&server.conns).len() as u64;
+            held <= server.stats().open_connections + 1 || {
+                thread::sleep(Duration::from_millis(10));
+                false
+            }
+        });
+        assert!(bounded, "{} handles still held", lock(&server.conns).len());
+    }
 
     /// A `RunStats` whose every wire-visible field is a distinct value
     /// (1..=19 in wire order, then 2.5), built by decoding so the test

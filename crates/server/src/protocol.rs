@@ -3,9 +3,9 @@
 //! [`crate::client::BinaryClient`].
 //!
 //! `docs/protocol.md` is the normative specification of everything in
-//! this module; the CI `docs-gate` (`cargo run -p xtask -- docs-gate`)
-//! fails the build if the opcode table there drifts from the [`Opcode`]
-//! enum here. The byte-level encodings of reports reuse
+//! this module; the unit tests below read it and fail if its opcode table
+//! drifts from the [`Opcode`] enum, or its stats tables from the field
+//! lists the codecs run on. The byte-level encodings of reports reuse
 //! [`agg_core::report::wire`], so a report reassembled from frames is
 //! bit-identical to the in-process original.
 //!
@@ -21,7 +21,7 @@
 //! bit patterns ([`wire::put_f64`]); all strings are u32-length-prefixed
 //! UTF-8 ([`wire::put_str`]).
 
-use agg_core::report::wire::{self, WireError};
+use agg_core::report::wire::{self, Slot, StatField, WireError};
 use agg_core::{CheckedClaim, Verdict};
 use agg_core::{ClaimProgress, ReportStatus, RunStats, StreamStats};
 use std::io::{self, Read, Write};
@@ -39,7 +39,7 @@ pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 /// Every frame type. Client→server opcodes are `0x01..=0x7F`;
 /// server→client opcodes have the high bit set (`0x81..=0xFF`). The
 /// table in `docs/protocol.md` must list exactly these names and values
-/// (the CI docs-gate scrapes both).
+/// (a unit test compares the two).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Opcode {
@@ -439,100 +439,59 @@ pub struct WireStats {
     pub malformed_frames: u64,
 }
 
-/// `StatsOk`: every counter of [`WireStats`], in struct order.
+/// The `StatsOk` layout — the `StatsOk` table of `docs/protocol.md`, in
+/// order (a unit test in this crate holds the two together); `/v1/stats`
+/// renders its namespace objects from the same accessors. The order is a
+/// written v1 contract — note the `u32` gauge sits *after* the counters
+/// added later — so it is spelled out rather than derived.
+#[rustfmt::skip] // one row per wire field
+pub const STATS_OK_FIELDS: [StatField<WireStats>; 32] = [
+    ("submitted", |w| Slot::U64(&mut w.stream.submitted)),
+    ("completed", |w| Slot::U64(&mut w.stream.completed)),
+    ("failed", |w| Slot::U64(&mut w.stream.failed)),
+    ("rejected", |w| Slot::U64(&mut w.stream.rejected)),
+    ("timed_out", |w| Slot::U64(&mut w.stream.timed_out)),
+    ("cancelled", |w| Slot::U64(&mut w.stream.cancelled)),
+    ("partial", |w| Slot::U64(&mut w.stream.partial)),
+    ("respawns", |w| Slot::U64(&mut w.stream.respawns)),
+    ("poison_retries", |w| Slot::U64(&mut w.stream.scan.poison_retries)),
+    ("queue_depth_high_water", |w| Slot::U64(&mut w.stream.queue_depth_high_water)),
+    ("in_flight_high_water", |w| Slot::U64(&mut w.stream.in_flight_high_water)),
+    ("claims", |w| Slot::U64(&mut w.stream.claims)),
+    ("rows_scanned", |w| Slot::U64(&mut w.stream.scan.rows_scanned)),
+    ("tasks_executed", |w| Slot::U64(&mut w.stream.scan.tasks_executed)),
+    ("tasks_deduped", |w| Slot::U64(&mut w.stream.tasks_deduped)),
+    ("singleflight_waits", |w| Slot::U64(&mut w.stream.singleflight_waits)),
+    ("scan_passes", |w| Slot::U64(&mut w.stream.scan.scan_passes)),
+    ("blocks_scanned", |w| Slot::U64(&mut w.stream.scan.blocks_scanned)),
+    ("blocks_skipped", |w| Slot::U64(&mut w.stream.scan.blocks_skipped)),
+    ("bytes_scanned", |w| Slot::U64(&mut w.stream.scan.bytes_scanned)),
+    ("partitions_scanned", |w| Slot::U64(&mut w.stream.scan.partitions_scanned)),
+    ("partition_merges", |w| Slot::U64(&mut w.stream.scan.partition_merges)),
+    ("grids_patched", |w| Slot::U64(&mut w.stream.scan.grids_patched)),
+    ("delta_rows_scanned", |w| Slot::U64(&mut w.stream.scan.delta_rows_scanned)),
+    ("partition_parallelism", |w| Slot::U32(&mut w.stream.scan.partition_parallelism)),
+    ("queue_depth", |w| Slot::U64(&mut w.queue_depth)),
+    ("in_flight", |w| Slot::U64(&mut w.in_flight)),
+    ("lanes", |w| Slot::Pairs(&mut w.lane_depths, ["lane", "depth"])),
+    ("connections", |w| Slot::U64(&mut w.connections)),
+    ("frames_in", |w| Slot::U64(&mut w.frames_in)),
+    ("frames_out", |w| Slot::U64(&mut w.frames_out)),
+    ("malformed_frames", |w| Slot::U64(&mut w.malformed_frames)),
+];
+
+/// `StatsOk`: every field of [`STATS_OK_FIELDS`], in order.
 pub fn stats_ok(s: &WireStats) -> Vec<u8> {
     let mut p = Vec::new();
-    let st = &s.stream;
-    for v in [
-        st.submitted,
-        st.completed,
-        st.failed,
-        st.rejected,
-        st.timed_out,
-        st.cancelled,
-        st.partial,
-        st.respawns,
-        st.poison_retries,
-        st.queue_depth_high_water,
-        st.in_flight_high_water,
-        st.claims,
-        st.rows_scanned,
-        st.tasks_executed,
-        st.tasks_deduped,
-        st.singleflight_waits,
-        st.scan_passes,
-        st.blocks_scanned,
-        st.blocks_skipped,
-        st.bytes_scanned,
-        st.partitions_scanned,
-        st.partition_merges,
-        st.grids_patched,
-        st.delta_rows_scanned,
-    ] {
-        wire::put_u64(&mut p, v);
-    }
-    wire::put_u32(&mut p, st.partition_parallelism);
-    wire::put_u64(&mut p, s.queue_depth);
-    wire::put_u64(&mut p, s.in_flight);
-    wire::put_u32(&mut p, s.lane_depths.len() as u32);
-    for (lane, depth) in &s.lane_depths {
-        wire::put_u64(&mut p, *lane);
-        wire::put_u64(&mut p, *depth);
-    }
-    wire::put_u64(&mut p, s.connections);
-    wire::put_u64(&mut p, s.frames_in);
-    wire::put_u64(&mut p, s.frames_out);
-    wire::put_u64(&mut p, s.malformed_frames);
+    wire::put_fields(&mut p, s, &STATS_OK_FIELDS);
     p
 }
 
 /// Parse `StatsOk`.
 pub fn parse_stats_ok(mut buf: &[u8]) -> Result<WireStats, WireError> {
-    let buf = &mut buf;
-    let stream = StreamStats {
-        submitted: wire::get_u64(buf)?,
-        completed: wire::get_u64(buf)?,
-        failed: wire::get_u64(buf)?,
-        rejected: wire::get_u64(buf)?,
-        timed_out: wire::get_u64(buf)?,
-        cancelled: wire::get_u64(buf)?,
-        partial: wire::get_u64(buf)?,
-        respawns: wire::get_u64(buf)?,
-        poison_retries: wire::get_u64(buf)?,
-        queue_depth_high_water: wire::get_u64(buf)?,
-        in_flight_high_water: wire::get_u64(buf)?,
-        claims: wire::get_u64(buf)?,
-        rows_scanned: wire::get_u64(buf)?,
-        tasks_executed: wire::get_u64(buf)?,
-        tasks_deduped: wire::get_u64(buf)?,
-        singleflight_waits: wire::get_u64(buf)?,
-        scan_passes: wire::get_u64(buf)?,
-        blocks_scanned: wire::get_u64(buf)?,
-        blocks_skipped: wire::get_u64(buf)?,
-        bytes_scanned: wire::get_u64(buf)?,
-        partitions_scanned: wire::get_u64(buf)?,
-        partition_merges: wire::get_u64(buf)?,
-        grids_patched: wire::get_u64(buf)?,
-        delta_rows_scanned: wire::get_u64(buf)?,
-        partition_parallelism: wire::get_u32(buf)?,
-    };
-    let queue_depth = wire::get_u64(buf)?;
-    let in_flight = wire::get_u64(buf)?;
-    let n = wire::get_u32(buf)? as usize;
-    let mut lane_depths = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        lane_depths.push((wire::get_u64(buf)?, wire::get_u64(buf)?));
-    }
-    Ok(WireStats {
-        stream,
-        queue_depth,
-        in_flight,
-        lane_depths,
-        connections: wire::get_u64(buf)?,
-        frames_in: wire::get_u64(buf)?,
-        frames_out: wire::get_u64(buf)?,
-        malformed_frames: wire::get_u64(buf)?,
-    })
+    let mut s = WireStats::default();
+    wire::get_fields(&mut buf, &mut s, &STATS_OK_FIELDS)?;
+    Ok(s)
 }
 
 /// Map a [`Verdict`] to the lowercase identifier the HTTP JSON uses.
@@ -561,7 +520,7 @@ mod tests {
 
     #[test]
     fn opcode_codes_are_stable_and_distinct() {
-        // The numbers docs/protocol.md tabulates (and the docs-gate pins).
+        // The numbers docs/protocol.md tabulates.
         assert_eq!(Opcode::Hello as u8, 0x01);
         assert_eq!(Opcode::Submit as u8, 0x02);
         assert_eq!(Opcode::Cancel as u8, 0x03);
@@ -676,13 +635,16 @@ mod tests {
             stream: StreamStats {
                 submitted: 8,
                 completed: 7,
-                rows_scanned: 5060,
-                scan_passes: 11,
-                partitions_scanned: 22,
-                partition_merges: 14,
-                partition_parallelism: 4,
-                grids_patched: 3,
-                delta_rows_scanned: 512,
+                scan: agg_relational::ScanCounters {
+                    rows_scanned: 5060,
+                    scan_passes: 11,
+                    partitions_scanned: 22,
+                    partition_merges: 14,
+                    partition_parallelism: 4,
+                    grids_patched: 3,
+                    delta_rows_scanned: 512,
+                    ..Default::default()
+                },
                 ..StreamStats::default()
             },
             queue_depth: 1,
@@ -694,6 +656,68 @@ mod tests {
             malformed_frames: 0,
         };
         assert_eq!(parse_stats_ok(&stats_ok(&stats)).unwrap(), stats);
+    }
+
+    const PROTOCOL_MD: &str = include_str!("../../../docs/protocol.md");
+
+    /// The body rows of the first markdown table after the line containing
+    /// `after`, as trimmed cells (header and `|---|` separator dropped).
+    fn doc_table(after: &str) -> Vec<Vec<&'static str>> {
+        let rows = PROTOCOL_MD
+            .lines()
+            .skip_while(|line| !line.contains(after))
+            .skip_while(|line| !line.starts_with('|'))
+            .take_while(|line| line.starts_with('|'))
+            .skip(2);
+        rows.map(|row| row.trim_matches('|').split('|').map(str::trim).collect())
+            .collect()
+    }
+
+    /// Every opcode and byte, in both directions: the docs table and
+    /// `Opcode::ALL` must be the same list.
+    #[test]
+    fn docs_opcode_table_matches_the_enum() {
+        let documented: Vec<(String, String)> = doc_table("## Opcodes")
+            .iter()
+            .map(|row| (row[0].to_string(), row[1].to_string()))
+            .collect();
+        let defined: Vec<(String, String)> = Opcode::ALL
+            .iter()
+            .map(|op| (format!("0x{:02X}", *op as u8), op.name().to_string()))
+            .collect();
+        assert_eq!(documented, defined);
+    }
+
+    /// Every name, type and position of the two normative stats tables.
+    #[test]
+    fn docs_stats_tables_match_the_field_lists() {
+        fn listed<S: Default>(fields: &[StatField<S>]) -> Vec<(&'static str, &'static str)> {
+            let mut s = S::default();
+            fields
+                .iter()
+                .map(|(name, slot)| {
+                    // The wire type as `docs/protocol.md` spells it.
+                    let ty = match slot(&mut s) {
+                        Slot::U64(_) | Slot::Usize(_) => "u64",
+                        Slot::U32(_) => "u32",
+                        Slot::F64(_) => "f64",
+                        Slot::Pairs(..) => "u32 count, then (u64, u64) each",
+                    };
+                    (*name, ty)
+                })
+                .collect()
+        }
+        let documented = |after: &str| -> Vec<(&str, &str)> {
+            doc_table(after)
+                .iter()
+                .map(|row| (row[0], row[1]))
+                .collect()
+        };
+        assert_eq!(
+            documented("Run stats encoding"),
+            listed(&wire::RUN_STATS_FIELDS)
+        );
+        assert_eq!(documented("### StatsOk (0x86)"), listed(&STATS_OK_FIELDS));
     }
 
     fn unhex(hex: &str) -> Vec<u8> {

@@ -888,127 +888,6 @@ fn delta_gate(args: &[String]) -> ExitCode {
     }
 }
 
-/// Scrape `Name = 0xNN,` declarations from the `pub enum Opcode` block of
-/// the protocol source. Only lines inside the enum body count, so helper
-/// constants elsewhere in the file can't satisfy (or confuse) the gate.
-fn scrape_source_opcodes(source: &str) -> Result<Vec<(String, u8)>, String> {
-    let mut opcodes = Vec::new();
-    let mut in_enum = false;
-    for line in source.lines() {
-        let trimmed = line.trim();
-        if trimmed.starts_with("pub enum Opcode") {
-            in_enum = true;
-            continue;
-        }
-        if in_enum {
-            if trimmed == "}" {
-                break;
-            }
-            let Some((name, rest)) = trimmed.split_once('=') else {
-                continue;
-            };
-            let value = rest.trim().trim_end_matches(',');
-            let Some(hex) = value.strip_prefix("0x") else {
-                continue;
-            };
-            let byte = u8::from_str_radix(hex, 16)
-                .map_err(|e| format!("bad opcode value {value:?} in source: {e}"))?;
-            opcodes.push((name.trim().to_string(), byte));
-        }
-    }
-    if opcodes.is_empty() {
-        return Err("no `Name = 0xNN,` opcodes found in a `pub enum Opcode` block".into());
-    }
-    Ok(opcodes)
-}
-
-/// Scrape `| 0xNN | Name | ... |` rows from the docs opcode table.
-fn scrape_docs_opcodes(docs: &str) -> Result<Vec<(String, u8)>, String> {
-    let mut opcodes = Vec::new();
-    for line in docs.lines() {
-        let Some(row) = line.trim().strip_prefix("| 0x") else {
-            continue;
-        };
-        let mut cells = row.split('|').map(str::trim);
-        let (Some(hex), Some(name)) = (cells.next(), cells.next()) else {
-            continue;
-        };
-        let byte = u8::from_str_radix(hex, 16)
-            .map_err(|e| format!("bad opcode value 0x{hex} in docs table: {e}"))?;
-        opcodes.push((name.to_string(), byte));
-    }
-    if opcodes.is_empty() {
-        return Err("no `| 0xNN | Name | ... |` rows found in the docs".into());
-    }
-    Ok(opcodes)
-}
-
-/// Fail if the opcode table in the protocol docs drifts from the `Opcode`
-/// enum in the server source: every enum variant must appear in the docs
-/// with the same byte value, and vice versa.
-fn run_docs_gate(source: &str, docs: &str) -> Result<String, String> {
-    let from_source = scrape_source_opcodes(source)?;
-    let from_docs = scrape_docs_opcodes(docs)?;
-    let mut failures = Vec::new();
-    for (name, byte) in &from_source {
-        match from_docs.iter().find(|(n, _)| n == name) {
-            None => failures.push(format!(
-                "opcode {name} (0x{byte:02X}) missing from the docs"
-            )),
-            Some((_, doc_byte)) if doc_byte != byte => failures.push(format!(
-                "opcode {name} is 0x{byte:02X} in source but 0x{doc_byte:02X} in the docs"
-            )),
-            Some(_) => {}
-        }
-    }
-    for (name, byte) in &from_docs {
-        if !from_source.iter().any(|(n, _)| n == name) {
-            failures.push(format!(
-                "docs list opcode {name} (0x{byte:02X}) that the source does not define"
-            ));
-        }
-    }
-    if failures.is_empty() {
-        Ok(format!(
-            "{} opcodes match between source enum and docs table",
-            from_source.len()
-        ))
-    } else {
-        Err(failures.join("\n"))
-    }
-}
-
-fn docs_gate(args: &[String]) -> ExitCode {
-    let mut source = String::from("crates/server/src/protocol.rs");
-    let mut docs = String::from("docs/protocol.md");
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--source" => source = it.next().cloned().expect("--source PATH"),
-            "--docs" => docs = it.next().cloned().expect("--docs PATH"),
-            other => {
-                eprintln!("unknown argument: {other}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let read =
-        |path: &str| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
-    let outcome = read(&source)
-        .and_then(|src| read(&docs).map(|doc| (src, doc)))
-        .and_then(|(src, doc)| run_docs_gate(&src, &doc));
-    match outcome {
-        Ok(line) => {
-            println!("docs-gate ok: {line}");
-            ExitCode::SUCCESS
-        }
-        Err(msg) => {
-            eprintln!("docs-gate FAIL:\n{msg}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -1019,7 +898,6 @@ fn main() -> ExitCode {
         Some("skip-gate") => skip_gate(&args[1..]),
         Some("partition-gate") => partition_gate(&args[1..]),
         Some("delta-gate") => delta_gate(&args[1..]),
-        Some("docs-gate") => docs_gate(&args[1..]),
         _ => {
             eprintln!("usage: xtask bench-gate [--baseline PATH] [--current PATH] [--threshold FRACTION] [--metric NAME] [--variants a,b] [--normalize-to NAME]");
             eprintln!("       xtask dedup-gate [--file PATH] [--metric NAME] [--variants a,b] [--le-variant NAME]");
@@ -1028,7 +906,6 @@ fn main() -> ExitCode {
             eprintln!("       xtask skip-gate [--file PATH] [--selective NAME] [--encoded NAME] [--plain NAME] [--max-slowdown NUMBER]");
             eprintln!("       xtask partition-gate [--file PATH]");
             eprintln!("       xtask delta-gate [--file PATH] [--max-fraction FRACTION]");
-            eprintln!("       xtask docs-gate [--source PATH] [--docs PATH]");
             ExitCode::from(2)
         }
     }
@@ -1479,59 +1356,6 @@ mod tests {
         .is_err());
     }
 
-    const OPCODE_SOURCE: &str = r#"
-pub const MAGIC: [u8; 4] = *b"AGGV";
-pub enum Opcode {
-    /// Client handshake.
-    Hello = 0x01,
-    Submit = 0x02,
-    HelloOk = 0x81,
-    Error = 0x8F,
-}
-impl Opcode {
-    pub const NOT_AN_OPCODE: u8 = 0x99;
-}
-"#;
-
-    const OPCODE_DOCS: &str = "\
-Some prose first.
-
-| opcode | name | dir | meaning |
-|---|---|---|---|
-| 0x01 | Hello | C→S | Handshake |
-| 0x02 | Submit | C→S | Submit one document |
-| 0x81 | HelloOk | S→C | Handshake accepted |
-| 0x8F | Error | S→C | Connection-level failure |
-";
-
-    #[test]
-    fn docs_gate_passes_when_table_matches_enum() {
-        let line = run_docs_gate(OPCODE_SOURCE, OPCODE_DOCS).unwrap();
-        assert!(line.contains("4 opcodes"), "{line}");
-    }
-
-    #[test]
-    fn docs_gate_catches_every_drift_direction() {
-        // A variant the docs never mention.
-        let missing = OPCODE_DOCS.replace("| 0x02 | Submit | C→S | Submit one document |\n", "");
-        let err = run_docs_gate(OPCODE_SOURCE, &missing).unwrap_err();
-        assert!(err.contains("Submit") && err.contains("missing"), "{err}");
-        // A docs row whose byte value disagrees with the enum.
-        let renumbered = OPCODE_DOCS.replace("| 0x02 | Submit |", "| 0x03 | Submit |");
-        let err = run_docs_gate(OPCODE_SOURCE, &renumbered).unwrap_err();
-        assert!(err.contains("0x02") && err.contains("0x03"), "{err}");
-        // A docs row the enum does not define.
-        let phantom = format!("{OPCODE_DOCS}| 0x42 | Phantom | C→S | Not real |\n");
-        let err = run_docs_gate(OPCODE_SOURCE, &phantom).unwrap_err();
-        assert!(err.contains("Phantom"), "{err}");
-    }
-
-    #[test]
-    fn docs_gate_rejects_inputs_with_nothing_to_check() {
-        assert!(run_docs_gate("fn main() {}", OPCODE_DOCS).is_err());
-        assert!(run_docs_gate(OPCODE_SOURCE, "no table here").is_err());
-    }
-
     fn partition_sample(
         fingerprints_match: u8,
         rows_4t: u64,
@@ -1640,18 +1464,5 @@ Some prose first.
         // A file without the append family at all.
         let err = run_delta_gate(r#"{"variants": []}"#, 0.10).unwrap_err();
         assert!(err.contains("append_reverify"), "{err}");
-    }
-
-    #[test]
-    fn docs_gate_holds_against_the_real_files() {
-        // The gate's CI defaults, resolved from the workspace root so the
-        // unit test exercises the same pair CI does.
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let source = std::fs::read_to_string(format!("{root}/crates/server/src/protocol.rs"))
-            .expect("read protocol source");
-        let docs = std::fs::read_to_string(format!("{root}/docs/protocol.md"))
-            .expect("read protocol docs");
-        let line = run_docs_gate(&source, &docs).unwrap();
-        assert!(line.contains("13 opcodes"), "{line}");
     }
 }

@@ -512,3 +512,90 @@ fn mid_stream_disconnect_settles_outstanding_documents() {
     let stats = service.stats();
     assert_eq!(stats.submitted, stats.settled(), "every ticket settled");
 }
+
+/// Hostile HTTP inputs stay bounded: a request that never ends its header
+/// block is refused at the head cap instead of being buffered (and
+/// re-searched) up to the body ceiling, and a long run of submissions
+/// does not make the server remember every report forever. The server
+/// keeps answering `/v1/stats` after each.
+#[test]
+fn hostile_http_inputs_are_bounded_and_stats_still_answers() {
+    let (db, _) = small_db();
+    let service =
+        StreamingVerifier::new(db, CheckerConfig::default(), StreamConfig::default()).unwrap();
+    let server = VerifyServer::start(
+        "127.0.0.1:0",
+        vec![("demo".to_string(), service)],
+        test_config(),
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let stats_ok = || assert_eq!(http(addr, "GET", "/v1/stats", "").0, 200);
+
+    // One byte past the 64 KiB head cap, no blank line anywhere: the
+    // answer is an immediate 400, not a wait for the idle timeout.
+    let started = Instant::now();
+    let mut sock = TcpStream::connect(addr).unwrap();
+    let mut flood = b"GET /".to_vec();
+    flood.resize(64 * 1024 + 1, b'a');
+    sock.write_all(&flood).unwrap();
+    let mut response = String::new();
+    sock.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+    assert!(started.elapsed() < test_config().idle_timeout);
+    stats_ok();
+
+    // Ten more settled documents than the registry retains: the oldest
+    // are forgotten, the newest still poll.
+    // (One persistent connection: a request per document, the response
+    // framed by its Content-Length.)
+    let total = aggchecker::server::MAX_SETTLED_DOCS as u64 + 10;
+    let mut sock = TcpStream::connect(addr).unwrap();
+    let mut exchange = |method: &str, path: &str, body: &str| -> json::Json {
+        // One segment per request: a piecemeal write stalls on Nagle.
+        let request = format!(
+            "{method} {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        sock.write_all(request.as_bytes()).unwrap();
+        let mut head = Vec::new();
+        while !head.ends_with(b"\r\n\r\n") {
+            let mut byte = [0u8];
+            sock.read_exact(&mut byte).unwrap();
+            head.push(byte[0]);
+        }
+        let head = String::from_utf8(head).unwrap();
+        let length: usize = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .expect("framed response")
+            .parse()
+            .unwrap();
+        let mut body = vec![0u8; length];
+        sock.read_exact(&mut body).unwrap();
+        json::parse(std::str::from_utf8(&body).unwrap()).unwrap()
+    };
+    for expected in 1..=total {
+        let accepted = exchange("POST", "/v1/documents", "{\"text\":\"<p>No claims.</p>\"}");
+        let id = accepted.get("id").and_then(json::Json::as_u64).unwrap();
+        assert_eq!(id, expected);
+        while exchange("GET", &format!("/v1/documents/{id}"), "")
+            .get("status")
+            .and_then(json::Json::as_str)
+            == Some("pending")
+        {}
+    }
+    let (status, body) = http(addr, "GET", "/v1/documents/1", "");
+    assert_eq!(status, 404);
+    assert_eq!(
+        body.get("error").and_then(json::Json::as_str),
+        Some("unknown document")
+    );
+    assert_eq!(
+        http(addr, "GET", &format!("/v1/documents/{total}"), "").0,
+        200
+    );
+    stats_ok();
+
+    server.shutdown();
+}
