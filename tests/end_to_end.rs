@@ -311,3 +311,42 @@ fn experiments_registry_smoke() {
         assert!(out.contains(needle), "{name}: {out}");
     }
 }
+
+// ---------------------------------------------------------------------------
+// Accuracy pin
+// ---------------------------------------------------------------------------
+
+/// Precision/recall/F1 and top-1/5/10 coverage as six-decimal text, the
+/// form the pins below are written in.
+fn accuracy_line(run: &agg_bench::runner::CorpusRun) -> String {
+    let c = run.confusion();
+    let cov = run.coverage();
+    format!(
+        "claims {} tp {} fp {} fn {} | p {:.6} r {:.6} f1 {:.6} | top1 {:.6} top5 {:.6} top10 {:.6}",
+        c.total(),
+        c.true_positives,
+        c.false_positives,
+        c.false_negatives,
+        c.precision(),
+        c.recall(),
+        c.f1(),
+        cov.at(1),
+        cov.at(5),
+        cov.at(10),
+    )
+}
+
+/// The reproduction's accuracy numbers (paper Tables 5/10, Fig. 10) are a
+/// pure function of the corpus and the default configuration, so they are
+/// pinned as literals: a change to planning, evaluation or scoring that
+/// trades accuracy for speed fails here, by name, before any benchmark
+/// runs. The built-in cases carry no seed; the generated corpus is drawn at
+/// `CorpusSpec::default().seed`.
+#[test]
+fn accuracy_is_pinned_at_the_default_seed() {
+    let builtin = run_corpus(&all_builtin(), &CheckerConfig::default());
+    assert_eq!(accuracy_line(&builtin), "claims 5 tp 3 fp 0 fn 0 | p 1.000000 r 1.000000 f1 1.000000 | top1 0.400000 top5 0.600000 top10 0.600000");
+    let spec = CorpusSpec::small(16, CorpusSpec::default().seed);
+    let generated = run_corpus(&generate_corpus(&spec), &CheckerConfig::default());
+    assert_eq!(accuracy_line(&generated), "claims 84 tp 2 fp 0 fn 6 | p 1.000000 r 0.250000 f1 0.400000 | top1 0.738095 top5 0.904762 top10 0.952381");
+}
