@@ -118,7 +118,7 @@ fn selective_workload(db: &Database) -> CubeQuery {
     let cat = db.resolve("facts", "cat").unwrap();
     CubeQuery {
         dims: vec![cat],
-        relevant: vec![vec![Value::from("epsilon")]],
+        relevant: vec![vec![Value::from("epsilon")].into()],
         aggregates: vec![(AggFunction::Count, AggColumn::Star)],
     }
 }

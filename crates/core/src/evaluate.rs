@@ -11,22 +11,38 @@
 //!   catalog literal list whenever it fits a cube dimension (falling back
 //!   to §6.3's document-wide sets for very wide columns), so every claim
 //!   of every document requests identical coverage per cache key and cube
-//!   slices are reusable across claims, EM iterations, and documents;
+//!   slices are reusable across claims, EM iterations, and documents. The
+//!   lists are **shared, not copied** (`agg_relational::Literals`): a
+//!   request, the cube built for it and the slices cut from that cube all
+//!   hold the catalog's own allocation, so "same coverage" is a pointer
+//!   comparison wherever it is asked;
 //! * [`Evaluator::evaluate_all`] plans **all claims of a document at
 //!   once**: per-claim groups that need the same (dimensions, literals)
 //!   cube collapse into one cube task (counted as
 //!   [`EvalStats::tasks_deduped`]), and the resulting task set — the
-//!   claims × cubes work of the whole document — executes on a scoped
-//!   worker wave ([`Evaluator::set_threads`] workers) or on a shared
-//!   [`CubeScheduler`] spanning every document of a batch
-//!   ([`Evaluator::set_scheduler`], see `pipeline::BatchVerifier`).
-//!   Finished cubes are demultiplexed back into per-claim
-//!   [`ResultsMatrix`] slots. The probe/bundle/wave/collect protocol
-//!   itself lives in `agg_relational::schedule::run_requests` — this
-//!   planner is its one client — which also **fuses** the wave's
-//!   same-scope tasks into single row passes (`ScanGroup`), so a wave
-//!   costs one table scan per distinct table scope instead of one per
-//!   task;
+//!   claims × cubes work of the whole document — goes through
+//!   `agg_relational::schedule::run_requests`, the one implementation of
+//!   the probe/bundle/wave/collect protocol (this planner is its one
+//!   client): one atomic cache probe for the whole wave, the misses
+//!   bundled into tasks, same-scope tasks **fused** into single row passes
+//!   (`ScanGroup`, one table scan per distinct table scope instead of one
+//!   per task), executed inline or on up to [`Evaluator::set_threads`]
+//!   workers — or on a shared [`CubeScheduler`] spanning every document of
+//!   a batch ([`Evaluator::set_scheduler`], see `pipeline::BatchVerifier`);
+//! * finished slices are **demultiplexed by code, not by value**, into
+//!   per-claim [`ResultsMatrix`] rows. Resolved once per (cube group,
+//!   distinct cube): the map from catalog literal position to the cube's
+//!   literal code — the identity when the cube was built over the catalog
+//!   column's own list, a by-value lookup remembered per position when it
+//!   was not (document-wide fallback, or a wider slice another request
+//!   published), "absent" reading as NULL like any coverage miss. Once
+//!   per claim group: which cube and aggregate index each aggregate pair
+//!   reads, and the `Percentage` denominator. Once per combo: its packed
+//!   `GroupKey`, built on the stack, and **one** group lookup per distinct
+//!   cube (plus the condition-only group when a `ConditionalProbability`
+//!   pair is present); every pair's aggregate is then an index into that
+//!   row. `docs/architecture.md` ("The candidate plane") has the whole
+//!   path and why it is recomputed per EM iteration;
 //! * slices are stored in the shared [`EvalCache`] keyed by (aggregation
 //!   function, aggregation column, dimension set) — the cache granularity
 //!   the paper found to perform best. The cache is **lock-striped** into
@@ -49,8 +65,9 @@
 use crate::candidates::CandidateSet;
 use crate::fragments::FragmentCatalog;
 use agg_relational::{
-    ratio_from_counts, run_requests, AggColumn, AggFunction, CachedSlice, ColumnRef, CubeScheduler,
-    Database, EvalCache, GridArena, Result, ScanCounters, Value, WaveExec, WaveRequest, WaveStats,
+    ratio_from_counts, run_requests, same_literals, AggColumn, AggFunction, CachedSlice, ColumnRef,
+    CubeResult, CubeScheduler, Database, EvalCache, GridArena, GroupKey, ListPairMemo, Literals,
+    Result, ScanCounters, Value, WaveExec, WaveRequest, WaveStats,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -134,6 +151,17 @@ impl ResultsMatrix {
         self.data[combo * self.n_pairs + pair]
     }
 
+    /// One combo's results, one per aggregate pair.
+    #[inline]
+    pub fn row(&self, combo: usize) -> &[Option<f64>] {
+        &self.data[combo * self.n_pairs..][..self.n_pairs]
+    }
+
+    #[inline]
+    fn row_mut(&mut self, combo: usize) -> &mut [Option<f64>] {
+        &mut self.data[combo * self.n_pairs..][..self.n_pairs]
+    }
+
     #[inline]
     fn set(&mut self, combo: usize, pair: usize, value: Option<f64>) {
         self.data[combo * self.n_pairs + pair] = value;
@@ -171,7 +199,9 @@ const CANONICAL_LITERAL_CAP: usize = 253;
 struct CubeGroup {
     cols: Vec<u16>,
     dims: Vec<ColumnRef>,
-    relevant: Vec<Vec<Value>>,
+    /// Per dimension, the catalog column's own list (shared, never copied)
+    /// or a document-wide fallback list for a column too wide for that.
+    relevant: Vec<Literals>,
     aggs: Vec<(AggFunction, AggColumn)>,
 }
 
@@ -190,15 +220,125 @@ struct ClaimPlan {
     claim_groups: Vec<ClaimGroup>,
 }
 
+/// Memo states of [`DimCodes::ByValue`].
+const UNRESOLVED: u16 = u16::MAX;
+const ABSENT: u16 = u16::MAX - 1;
+
+/// Catalog literal position → literal code in one dimension of one cube.
+enum DimCodes {
+    /// The cube was built over the catalog column's own list: a literal's
+    /// position is its code.
+    Identity,
+    /// The cube's list differs (document-wide fallback, or a covering slice
+    /// another document published): resolved by value on first use and
+    /// remembered per catalog position.
+    ByValue(Vec<u16>),
+}
+
+/// Everything resolved once per (cube group, distinct resolved cube) and
+/// shared by every claim that reads the cube: its per-dimension code maps.
+struct CubeCodes<'r> {
+    cube: &'r CubeResult,
+    dims: Vec<DimCodes>,
+}
+
+impl<'r> CubeCodes<'r> {
+    fn new(
+        cube: &'r CubeResult,
+        group: &CubeGroup,
+        catalog: &FragmentCatalog,
+        same: &mut ListPairMemo,
+    ) -> Self {
+        debug_assert_eq!(
+            cube.dims(),
+            &group.dims[..],
+            "slices follow the group's dims"
+        );
+        let dims = group
+            .cols
+            .iter()
+            .zip(cube.relevant())
+            .map(|(&c, have)| {
+                let lits = &catalog.literals[c as usize];
+                if same.same(have, lits) {
+                    DimCodes::Identity
+                } else {
+                    DimCodes::ByValue(vec![UNRESOLVED; lits.len()])
+                }
+            })
+            .collect();
+        CubeCodes { cube, dims }
+    }
+
+    /// The code of catalog literal `l` of `lits` in dimension `d`; `None`
+    /// when the cube's list does not hold it (a coverage violation, which
+    /// reads as NULL like any other miss).
+    #[inline]
+    fn code(&mut self, d: usize, lits: &[Value], l: u16) -> Option<u8> {
+        match &mut self.dims[d] {
+            DimCodes::Identity => Some(l as u8),
+            DimCodes::ByValue(memo) => {
+                let slot = &mut memo[l as usize];
+                if *slot == UNRESOLVED {
+                    *slot = self
+                        .cube
+                        .literal_index(d, &lits[l as usize])
+                        .map_or(ABSENT, |i| i as u16);
+                }
+                (*slot != ABSENT).then_some(*slot as u8)
+            }
+        }
+    }
+}
+
+/// The code maps of one wave's demultiplexing, compiled on first use:
+/// `cubes[group]` holds one entry per distinct cube the group's slices were
+/// cut from.
+struct DemuxCodes<'r> {
+    cubes: Vec<Vec<CubeCodes<'r>>>,
+    /// Which cube lists are the catalog's lists, asked once per list pair.
+    same: ListPairMemo,
+}
+
+/// One combo's groups in one cube.
+#[derive(Clone, Copy, Default)]
+struct ComboRows<'r> {
+    /// The combo's own group: outer `None` = a literal the cube does not
+    /// hold, inner `None` = no row fell in the group.
+    full: Option<Option<&'r [Option<f64>]>>,
+    /// The group of the combo's first (condition) predicate alone — the
+    /// conditional-probability denominator.
+    condition: Option<&'r [Option<f64>]>,
+}
+
+/// How one aggregate pair reads its value, compiled per claim group.
+enum PairRead<'r> {
+    Direct {
+        cube: usize,
+        slice: &'r CachedSlice,
+    },
+    Percentage {
+        cube: usize,
+        slice: &'r CachedSlice,
+        /// `count(all-unrestricted)`, read once per claim group.
+        denominator: f64,
+    },
+    CondProb {
+        cube: usize,
+        slice: &'r CachedSlice,
+    },
+}
+
 /// Evaluates candidate sets against the database with merging, caching,
 /// and cube-task scheduling.
 pub struct Evaluator<'a> {
     db: &'a Arc<Database>,
     catalog: &'a FragmentCatalog,
     cache: Option<EvalCache>,
-    /// Document-wide relevant literals per catalog predicate column
-    /// (literal positions) — §6.3's cache-friendly literal sets.
-    document_literals: Vec<Vec<usize>>,
+    /// Document-wide relevant literals (§6.3's cache-friendly literal sets)
+    /// of the predicate columns too wide to canonicalize; `None` for every
+    /// other column and where nothing was declared.
+    document_literals: Vec<Option<Literals>>,
     /// Concurrent cube tasks per evaluation wave (`CheckerConfig::threads`)
     /// when no shared scheduler is attached.
     threads: usize,
@@ -232,7 +372,7 @@ impl<'a> Evaluator<'a> {
             db,
             catalog,
             cache,
-            document_literals: vec![Vec::new(); catalog.predicate_columns.len()],
+            document_literals: vec![None; catalog.predicate_columns.len()],
             threads: 1,
             arena: None,
             scheduler: None,
@@ -285,9 +425,18 @@ impl<'a> Evaluator<'a> {
 
     /// Declare the document-wide literal sets: the union of scoped literal
     /// positions per predicate column over *all* claims of the document.
+    /// Only columns too wide to canonicalize read them; each such column's
+    /// list is built here once and shared by every cube over the column.
     pub fn set_document_literals(&mut self, literals: Vec<Vec<usize>>) {
         assert_eq!(literals.len(), self.catalog.predicate_columns.len());
-        self.document_literals = literals;
+        self.document_literals = literals
+            .iter()
+            .zip(&self.catalog.literals)
+            .map(|(positions, lits)| {
+                (lits.len() > CANONICAL_LITERAL_CAP && !positions.is_empty())
+                    .then(|| positions.iter().map(|&l| lits[l].clone()).collect())
+            })
+            .collect();
     }
 
     /// Evaluate every candidate of one claim. Equivalent to a one-claim
@@ -341,12 +490,48 @@ impl<'a> Evaluator<'a> {
         self.stats.absorb(&outcome.stats);
         let resolved = outcome.slices;
 
-        // ---- Phase 3: demultiplex into per-claim result matrices. ----
+        // ---- Phase 3: demultiplex into per-claim result matrices. Code
+        // maps are compiled per (group, resolved cube) on first use and
+        // shared by every claim after.
+        let mut codes = DemuxCodes {
+            cubes: groups.iter().map(|_| Vec::new()).collect(),
+            same: ListPairMemo::default(),
+        };
         Ok(sets
             .iter()
             .zip(&claim_plans)
-            .map(|(set, plan)| self.demux_claim(set, plan, &groups, &resolved))
+            .map(|(set, plan)| self.demux_claim(set, plan, &groups, &resolved, &mut codes))
             .collect())
+    }
+
+    /// The relevant literals of predicate column `c` in any cube of
+    /// `candidates`. Canonical: the column's full catalog list whenever it
+    /// fits a cube dimension, shared with the catalog. Every claim of every
+    /// document then requests *identical* coverage per cache key, which is
+    /// what makes cube executions dedupable across concurrent workers with
+    /// an exact row count — batched `rows_scanned` equals the sequential
+    /// run no matter how the scheduler interleaves documents. Columns too
+    /// wide for a cube dimension fall back to the document-wide literal
+    /// union (§6.3), and to this claim's own literals when none were
+    /// declared.
+    fn group_literals(&self, c: u16, candidates: &CandidateSet) -> Literals {
+        let lits = &self.catalog.literals[c as usize];
+        if lits.len() <= CANONICAL_LITERAL_CAP {
+            return lits.clone();
+        }
+        if let Some(document_wide) = &self.document_literals[c as usize] {
+            return document_wide.clone();
+        }
+        candidates
+            .combos
+            .iter()
+            .flatten()
+            .filter(|(cc, _)| *cc == c)
+            .map(|(_, l)| *l)
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .map(|l| lits[l as usize].clone())
+            .collect()
     }
 
     /// Plan one claim: pair plans, combo groups, and their mapping into the
@@ -382,73 +567,54 @@ impl<'a> Evaluator<'a> {
             })
             .collect();
 
-        // Group combos by (sorted) predicate column set.
+        // Group combos by (sorted) predicate column set; a column set is
+        // allocated once per group, not once per combo.
         let mut combo_groups: BTreeMap<Vec<u16>, Vec<u32>> = BTreeMap::new();
+        let mut cols: Vec<u16> = Vec::new();
         for (ci, combo) in candidates.combos.iter().enumerate() {
-            let mut cols: Vec<u16> = combo.iter().map(|(c, _)| *c).collect();
+            cols.clear();
+            cols.extend(combo.iter().map(|(c, _)| *c));
             cols.sort_unstable();
-            combo_groups.entry(cols).or_default().push(ci as u32);
+            match combo_groups.get_mut(cols.as_slice()) {
+                Some(combo_ids) => combo_ids.push(ci as u32),
+                None => {
+                    combo_groups.insert(cols.clone(), vec![ci as u32]);
+                }
+            }
         }
 
         let claim_groups = combo_groups
             .into_iter()
             .map(|(cols, combo_ids)| {
-                let dims: Vec<ColumnRef> = cols
+                let relevant: Vec<Literals> = cols
                     .iter()
-                    .map(|&c| self.catalog.predicate_columns[c as usize])
+                    .map(|&c| self.group_literals(c, candidates))
                     .collect();
-                // Canonical literals per dimension: the column's full
-                // catalog literal list whenever it fits a cube dimension.
-                // Every claim of every document then requests *identical*
-                // coverage per cache key, which is what makes cube
-                // executions dedupable across concurrent workers with an
-                // exact row count — batched `rows_scanned` equals the
-                // sequential run no matter how the scheduler interleaves
-                // documents. Columns too wide for a cube dimension fall
-                // back to the document-wide literal union (§6.3), and to
-                // this claim's own literals when none were declared.
-                let relevant: Vec<Vec<Value>> = cols
-                    .iter()
-                    .map(|&c| {
-                        let catalog_lits = &self.catalog.literals[c as usize];
-                        if catalog_lits.len() <= CANONICAL_LITERAL_CAP {
-                            return catalog_lits.clone();
-                        }
-                        let doc_lits = &self.document_literals[c as usize];
-                        let positions: Vec<usize> = if doc_lits.is_empty() {
-                            candidates
-                                .combos
-                                .iter()
-                                .flat_map(|combo| combo.iter())
-                                .filter(|(cc, _)| *cc == c)
-                                .map(|(_, l)| *l as usize)
-                                .collect::<std::collections::BTreeSet<_>>()
-                                .into_iter()
-                                .collect()
-                        } else {
-                            doc_lits.clone()
-                        };
-                        positions
-                            .into_iter()
-                            .map(|l| self.catalog.literals[c as usize][l].clone())
-                            .collect()
-                    })
-                    .collect();
-
                 // Claims needing the same (dims, literals) cube share one
-                // group — and therefore one task. Dedup is counted in
+                // group — and therefore one task. Canonical and
+                // document-wide lists are shared, so the match is on `cols`
+                // plus pointer identity; only a per-claim fallback list is
+                // ever compared by value. Dedup is counted in
                 // aggregate-key units (every key this claim would have
                 // probed separately), the same unit the single-flight
                 // path uses, so the counter is comparable across modes.
-                let group = match groups
-                    .iter()
-                    .position(|g| g.cols == cols && g.relevant == relevant)
-                {
+                let same_cube = |g: &CubeGroup| {
+                    g.cols == cols
+                        && g.relevant
+                            .iter()
+                            .zip(&relevant)
+                            .all(|(a, b)| same_literals(a, b))
+                };
+                let group = match groups.iter().position(same_cube) {
                     Some(idx) => {
                         self.stats.tasks_deduped += value_aggs.len() as u64;
                         idx
                     }
                     None => {
+                        let dims = cols
+                            .iter()
+                            .map(|&c| self.catalog.predicate_columns[c as usize])
+                            .collect();
                         groups.push(CubeGroup {
                             cols,
                             dims,
@@ -458,10 +624,20 @@ impl<'a> Evaluator<'a> {
                         groups.len() - 1
                     }
                 };
-                let slot_map = value_aggs
-                    .iter()
-                    .map(|&(f, c)| agg_slot(&mut groups[group].aggs, f, c))
-                    .collect();
+                // Claims of one document mostly need the same aggregates in
+                // the same order: then the slots are the group's own.
+                let group_aggs = &mut groups[group].aggs;
+                if group_aggs.is_empty() {
+                    group_aggs.extend_from_slice(&value_aggs);
+                }
+                let slot_map = if group_aggs.starts_with(&value_aggs) {
+                    (0..value_aggs.len()).collect()
+                } else {
+                    value_aggs
+                        .iter()
+                        .map(|&(f, c)| agg_slot(group_aggs, f, c))
+                        .collect()
+                };
                 ClaimGroup {
                     group,
                     combo_ids,
@@ -477,73 +653,132 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Resolve one claim's matrix from the finished cube groups.
-    fn demux_claim(
+    /// Resolve one claim's matrix from the finished cube groups: per claim
+    /// group, compile how each aggregate pair reads its slice; per combo,
+    /// pack its group key once per distinct cube and do one group lookup
+    /// there; per pair, read the aggregate out of that row.
+    fn demux_claim<'r>(
         &mut self,
         candidates: &CandidateSet,
         plan: &ClaimPlan,
         groups: &[CubeGroup],
-        resolved: &[Vec<CachedSlice>],
+        resolved: &'r [Vec<CachedSlice>],
+        codes: &mut DemuxCodes<'r>,
     ) -> ResultsMatrix {
         let n_pairs = candidates.agg_pairs.len();
         let mut matrix = ResultsMatrix::new(candidates.combos.len(), n_pairs);
+        // Per-claim-group scratch, reused: a claim has dozens of groups of
+        // a few combos each.
+        let mut cubes: Vec<usize> = Vec::new();
+        let mut reads: Vec<PairRead<'r>> = Vec::with_capacity(n_pairs);
+        let mut rows: Vec<ComboRows<'r>> = Vec::new();
         for claim_group in &plan.claim_groups {
             let group = &groups[claim_group.group];
-            let cols = &group.cols;
-            let dims_len = group.dims.len();
-            // This claim's value-aggregate slices, in claim slot order.
+            let group_codes = &mut codes.cubes[claim_group.group];
             debug_assert_eq!(claim_group.slot_map.len(), plan.n_value_aggs);
-            let slices: Vec<&CachedSlice> = claim_group
-                .slot_map
-                .iter()
-                .map(|&g| &resolved[claim_group.group][g])
-                .collect();
 
-            // Resolve every combo × pair in this group.
-            for &ci in &claim_group.combo_ids {
-                let combo = &candidates.combos[ci as usize];
-                // Assignment by value, aligned with the group's dims.
-                let mut assignment: Vec<Option<Value>> = vec![None; dims_len];
-                // Condition position (first = highest-relevance pair).
-                let mut condition_dim: Option<usize> = None;
-                for (rank, &(c, l)) in combo.iter().enumerate() {
-                    let d = cols.iter().position(|cc| *cc == c).expect("dim present");
-                    assignment[d] = Some(self.catalog.literals[c as usize][l as usize].clone());
-                    if rank == 0 {
-                        condition_dim = Some(d);
+            // A claim value-aggregate slot's slice, and the position in
+            // `cubes` of the cube it is cut from: `cubes` lists the distinct
+            // cubes this claim group reads, as indexes into the group's
+            // code maps.
+            cubes.clear();
+            let mut locate = |slot: usize| -> (usize, &'r CachedSlice) {
+                let slice = &resolved[claim_group.group][claim_group.slot_map[slot]];
+                let cube: &'r CubeResult = slice.cube();
+                let compiled = group_codes
+                    .iter()
+                    .position(|cc| std::ptr::eq(cc.cube, cube))
+                    .unwrap_or_else(|| {
+                        group_codes.push(CubeCodes::new(
+                            cube,
+                            group,
+                            self.catalog,
+                            &mut codes.same,
+                        ));
+                        group_codes.len() - 1
+                    });
+                let k = cubes
+                    .iter()
+                    .position(|&k| k == compiled)
+                    .unwrap_or_else(|| {
+                        cubes.push(compiled);
+                        cubes.len() - 1
+                    });
+                (k, slice)
+            };
+            reads.clear();
+            reads.extend(plan.plans.iter().map(|pair_plan| match *pair_plan {
+                PairPlan::Direct { slice } => {
+                    let (cube, slice) = locate(slice);
+                    PairRead::Direct { cube, slice }
+                }
+                PairPlan::Percentage { count_slice } => {
+                    let (cube, slice) = locate(count_slice);
+                    PairRead::Percentage {
+                        cube,
+                        slice,
+                        denominator: slice.read_count(slice.cube().group(GroupKey::UNRESTRICTED)),
                     }
                 }
-                for (pi, pair_plan) in plan.plans.iter().enumerate() {
-                    let value = match pair_plan {
-                        PairPlan::Direct { slice } => {
-                            slices[*slice].lookup(&assignment).ok().flatten()
+                PairPlan::CondProb { count_slice } => {
+                    let (cube, slice) = locate(count_slice);
+                    PairRead::CondProb { cube, slice }
+                }
+            }));
+            let conditional = reads
+                .iter()
+                .any(|read| matches!(read, PairRead::CondProb { .. }));
+
+            rows.clear();
+            rows.resize(cubes.len(), ComboRows::default());
+            for &ci in &claim_group.combo_ids {
+                let combo = &candidates.combos[ci as usize];
+                for (row, &k) in rows.iter_mut().zip(&cubes) {
+                    let cube_codes = &mut group_codes[k];
+                    let mut key = Some(GroupKey::UNRESTRICTED);
+                    // Condition = the first (highest-relevance) pair.
+                    let mut condition = None;
+                    for (rank, &(c, l)) in combo.iter().enumerate() {
+                        let d = group
+                            .cols
+                            .iter()
+                            .position(|cc| *cc == c)
+                            .expect("dim present");
+                        let code = cube_codes.code(d, &self.catalog.literals[c as usize], l);
+                        key = key.zip(code).map(|(key, code)| key.with_literal(d, code));
+                        if rank == 0 {
+                            condition =
+                                code.map(|code| GroupKey::UNRESTRICTED.with_literal(d, code));
                         }
-                        PairPlan::Percentage { count_slice } => {
-                            let s = slices[*count_slice];
-                            let num = s.lookup_count(&assignment).ok();
-                            let all: Vec<Option<Value>> = vec![None; dims_len];
-                            let den = s.lookup_count(&all).ok();
-                            match (num, den) {
-                                (Some(n), Some(d)) => ratio_from_counts(n, d),
-                                _ => None,
-                            }
-                        }
-                        PairPlan::CondProb { count_slice } => match condition_dim {
-                            None => None, // invalid: no condition predicate
-                            Some(cd) => {
-                                let s = slices[*count_slice];
-                                let num = s.lookup_count(&assignment).ok();
-                                let mut cond: Vec<Option<Value>> = vec![None; dims_len];
-                                cond[cd] = assignment[cd].clone();
-                                let den = s.lookup_count(&cond).ok();
-                                match (num, den) {
-                                    (Some(n), Some(d)) => ratio_from_counts(n, d),
-                                    _ => None,
-                                }
-                            }
-                        },
+                    }
+                    let cube = cube_codes.cube;
+                    row.full = key.map(|key| cube.group(key));
+                    row.condition = match condition {
+                        Some(key) if conditional && row.full.is_some() => cube.group(key),
+                        _ => None,
                     };
-                    matrix.set(ci as usize, pi, value);
+                }
+                for (cell, read) in matrix.row_mut(ci as usize).iter_mut().zip(&reads) {
+                    *cell = match *read {
+                        PairRead::Direct { cube, slice } => {
+                            rows[cube].full.and_then(|group| slice.read(group))
+                        }
+                        PairRead::Percentage {
+                            cube,
+                            slice,
+                            denominator,
+                        } => rows[cube].full.and_then(|group| {
+                            ratio_from_counts(slice.read_count(group), denominator)
+                        }),
+                        // Invalid without a condition predicate.
+                        PairRead::CondProb { .. } if combo.is_empty() => None,
+                        PairRead::CondProb { cube, slice } => rows[cube].full.and_then(|group| {
+                            ratio_from_counts(
+                                slice.read_count(group),
+                                slice.read_count(rows[cube].condition),
+                            )
+                        }),
+                    };
                 }
             }
             self.stats.candidates_evaluated += claim_group.combo_ids.len() as u64 * n_pairs as u64;
@@ -581,17 +816,25 @@ pub fn evaluate_naive(
     Ok(matrix)
 }
 
-/// A `HashMap`-free helper for collecting document-wide literal sets from
-/// scopes: merge per-claim scoped pairs into per-column sorted positions.
+/// Collect document-wide literal sets from scopes: merge per-claim scoped
+/// pairs into per-column sorted positions. The pairs arrive once per combo
+/// that uses them — tens of thousands naming a few dozen literals — so
+/// each column marks positions in a bitmap and lists them once at the end.
 pub fn document_literal_union(
     n_pred_cols: usize,
     scoped_pairs: impl IntoIterator<Item = (usize, usize)>,
 ) -> Vec<Vec<usize>> {
-    let mut sets: Vec<std::collections::BTreeSet<usize>> = vec![Default::default(); n_pred_cols];
+    let mut seen: Vec<Vec<bool>> = vec![Vec::new(); n_pred_cols];
     for (c, l) in scoped_pairs {
-        sets[c].insert(l);
+        let marks = &mut seen[c];
+        if marks.len() <= l {
+            marks.resize(l + 1, false);
+        }
+        marks[l] = true;
     }
-    sets.into_iter().map(|s| s.into_iter().collect()).collect()
+    seen.iter()
+        .map(|marks| (0..marks.len()).filter(|&l| marks[l]).collect())
+        .collect()
 }
 
 #[cfg(test)]
@@ -762,11 +1005,7 @@ mod tests {
     }
 
     /// A cube group's identity: dimensions, relevant literals, aggregates.
-    type GroupSpec = (
-        Vec<ColumnRef>,
-        Vec<Vec<Value>>,
-        Vec<(AggFunction, AggColumn)>,
-    );
+    type GroupSpec = (Vec<ColumnRef>, Vec<Literals>, Vec<(AggFunction, AggColumn)>);
 
     /// The group (dims, literals, aggregates) the evaluator will request
     /// for [`single_group_set`], mirroring `plan_claim`'s canonicalization:

@@ -18,7 +18,7 @@ use crate::textutil::{is_stopword, keyword_terms};
 use agg_ir::{Index, IndexBuilder};
 use agg_nlp::stem::stem;
 use agg_nlp::wordbreak::decompose_identifier;
-use agg_relational::{AggColumn, AggFunction, ColumnRef, Database, Value};
+use agg_relational::{AggColumn, AggFunction, ColumnRef, Database, Literals, Value};
 
 /// Index-time limits.
 #[derive(Debug, Clone, Copy)]
@@ -54,8 +54,11 @@ pub struct FragmentCatalog {
     /// Columns usable in equality predicates.
     pub predicate_columns: Vec<ColumnRef>,
     /// Distinct literals per predicate column (aligned with
-    /// `predicate_columns`).
-    pub literals: Vec<Vec<Value>>,
+    /// `predicate_columns`). Every list is value-distinct and free of
+    /// self-unequal values (NaN), so a literal's position *is* its index in
+    /// any cube built over the list; the lists are shared with those cubes
+    /// rather than copied into them.
+    pub literals: Vec<Literals>,
     fn_index: Index,
     col_index: Index,
     pred_index: Index,
@@ -92,10 +95,10 @@ impl FragmentCatalog {
 
         // --- Equality predicates ----------------------------------------
         let mut predicate_columns = Vec::new();
-        let mut literals: Vec<Vec<Value>> = Vec::new();
+        let mut literals: Vec<Literals> = Vec::new();
         for col in db.all_columns() {
             let data = db.column(col);
-            let col_literals: Vec<Value> = match data {
+            let col_literals: Literals = match data {
                 agg_relational::ColumnData::Str { .. } => data
                     .dictionary()
                     .expect("string column has dictionary")
@@ -255,12 +258,14 @@ fn literal_keywords(value: &Value) -> Vec<(String, f32)> {
     terms
 }
 
-fn distinct_numeric_literals(data: &agg_relational::ColumnData, cap: usize) -> Vec<Value> {
+fn distinct_numeric_literals(data: &agg_relational::ColumnData, cap: usize) -> Literals {
     let mut seen = std::collections::BTreeSet::new();
     for row in 0..data.len() {
-        if let Some(v) = data.get_f64(row) {
+        // NaN equals no literal and -0.0 equals 0.0: neither may add an
+        // entry, or the list would not be value-distinct.
+        if let Some(v) = data.get_f64(row).filter(|v| !v.is_nan()) {
             // Store integral values as ints for clean display.
-            let bits = v.to_bits();
+            let bits = (v + 0.0).to_bits();
             seen.insert(bits);
             if seen.len() >= cap {
                 break;
@@ -332,7 +337,7 @@ mod tests {
         // games, category (strings) + year (low-cardinality numeric).
         assert_eq!(cat.predicate_columns.len(), 3);
         // games: {indef, 10, 4}; category: 4 values; year: {1983, 1989, 2014}.
-        let total: usize = cat.literals.iter().map(Vec::len).sum();
+        let total: usize = cat.literals.iter().map(|l| l.len()).sum();
         assert_eq!(total, 3 + 4 + 3);
         assert_eq!(cat.predicate_fragment_count(), total);
     }
@@ -416,6 +421,35 @@ mod tests {
             .position(|c| db.short_column_name(*c) == "year")
             .unwrap();
         assert!(cat.literals[year_pos].contains(&Value::Int(2014)));
+    }
+
+    /// Literal lists are value-distinct and self-equal, so a literal's
+    /// position is its code in any cube over the list: NaN (equal to
+    /// nothing) is left out and the two zeros are one literal.
+    #[test]
+    fn numeric_literals_are_value_distinct() {
+        let t = Table::from_columns(
+            "t",
+            vec![(
+                "x",
+                vec![
+                    Value::Float(0.0),
+                    Value::Float(-0.0),
+                    Value::Float(f64::NAN),
+                    Value::Float(1.5),
+                    Value::Float(0.0),
+                ],
+            )],
+        )
+        .unwrap();
+        let mut db = Database::new("d");
+        db.add_table(t);
+        let cat = FragmentCatalog::build(&db, &CatalogConfig::default());
+        let lits = &cat.literals[0];
+        assert_eq!(lits.len(), 2, "{lits:?}");
+        for (i, a) in lits.iter().enumerate() {
+            assert_eq!(lits.iter().position(|b| a == b), Some(i));
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::config::CheckerConfig;
 use crate::evaluate::ResultsMatrix;
 use crate::fragments::FragmentCatalog;
 use crate::matching::ClaimScores;
-use crate::rounding::matches_claim;
+use crate::rounding::ClaimMatcher;
 use agg_nlp::numbers::NumberMention;
 use serde::{Deserialize, Serialize};
 
@@ -149,28 +149,32 @@ pub fn score_claim(
         pair_factor[pi] = w;
     }
 
+    // Conditional probability needs a condition predicate.
+    let needs_condition: Vec<bool> = candidates
+        .agg_pairs
+        .iter()
+        .map(|&(fi, _)| {
+            catalog.functions[fi as usize] == agg_relational::AggFunction::ConditionalProbability
+        })
+        .collect();
+
     let p_t = cfg.p_true;
     let use_eval = cfg.model.use_evaluation;
+    let matcher = ClaimMatcher::new(claim_number);
 
     let mut total = 0.0f64;
     let mut matching = 0.0f64;
     let mut top: Vec<(Candidate, f64)> = Vec::with_capacity(TOP_K + 1);
     let mut scored = 0usize;
 
-    for (ci, &cf) in combo_factor.iter().enumerate().take(n_combos) {
+    for (ci, &cf) in combo_factor.iter().enumerate() {
         let combo_empty = candidates.combos[ci].is_empty();
-        for (pi, &pf) in pair_factor.iter().enumerate().take(n_pairs) {
-            let (fi, _) = candidates.agg_pairs[pi];
-            // Conditional probability needs a condition predicate.
-            if combo_empty
-                && catalog.functions[fi as usize]
-                    == agg_relational::AggFunction::ConditionalProbability
-            {
+        for (pi, (&pf, &result)) in pair_factor.iter().zip(results.row(ci)).enumerate() {
+            if combo_empty && needs_condition[pi] {
                 continue;
             }
             scored += 1;
-            let result = results.get(ci, pi);
-            let is_match = result.is_some_and(|r| matches_claim(r, claim_number));
+            let is_match = result.is_some_and(|r| matcher.matches(r));
             let mut w = cf * pf;
             if use_eval {
                 w *= if is_match { p_t } else { 1.0 - p_t };
@@ -207,7 +211,7 @@ pub fn score_claim(
         .map(|(c, _)| {
             results
                 .get(c.combo as usize, c.pair as usize)
-                .is_some_and(|r| matches_claim(r, claim_number))
+                .is_some_and(|r| matcher.matches(r))
         })
         .unwrap_or(false);
     ClaimDistribution {
@@ -219,11 +223,14 @@ pub fn score_claim(
 }
 
 /// Insert into a bounded, descending top-k list.
+#[inline]
 fn push_top(top: &mut Vec<(Candidate, f64)>, cand: Candidate, w: f64) {
-    let pos = top.partition_point(|(_, tw)| *tw >= w);
-    if pos >= TOP_K {
+    // A full list only admits weights above its last: nearly every
+    // candidate leaves here, without the binary search.
+    if top.len() == TOP_K && top[TOP_K - 1].1 >= w {
         return;
     }
+    let pos = top.partition_point(|(_, tw)| *tw >= w);
     top.insert(pos, (cand, w));
     top.truncate(TOP_K);
 }

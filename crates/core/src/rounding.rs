@@ -7,7 +7,9 @@
 //! with the same matcher); this module re-exports it and documents the
 //! paper-facing contract.
 
-pub use agg_nlp::rounding::{matches_claim, matches_value, round_decimals, round_significant};
+pub use agg_nlp::rounding::{
+    matches_claim, matches_value, round_decimals, round_significant, ClaimMatcher,
+};
 
 #[cfg(test)]
 mod tests {

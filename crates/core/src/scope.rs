@@ -23,11 +23,15 @@ pub struct Scope {
 }
 
 /// Pick the evaluation scope for one claim.
+///
+/// `catalog` and `cost` are currently unused: every fragment is charged one
+/// pass over `rows_hint` rows against the budget, whatever its cube would
+/// cost. They stay in the signature for its callers.
 pub fn pick_scope(
-    catalog: &FragmentCatalog,
+    _catalog: &FragmentCatalog,
     scores: &ClaimScores,
     theta: Option<&Theta>,
-    cost: &CostModel,
+    _cost: &CostModel,
     rows_hint: usize,
     cfg: &ScopeConfig,
 ) -> Scope {
@@ -71,29 +75,27 @@ pub fn pick_scope(
     ranked_pairs.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
 
     let mut predicate_pairs: Vec<(usize, usize)> = Vec::new();
-    let mut per_column: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-    let mut columns_used: std::collections::HashSet<usize> = std::collections::HashSet::new();
+    // Admitted literals per predicate column, and how many columns have any.
+    let mut per_column = vec![0usize; scores.predicates.len()];
+    let mut columns_used = 0usize;
     for (c, l, _) in ranked_pairs {
         if spent + row_cost > budget {
             break;
         }
-        if !columns_used.contains(&c) && columns_used.len() >= cfg.max_predicate_columns {
+        let count = &mut per_column[c];
+        if *count == 0 && columns_used >= cfg.max_predicate_columns {
             continue;
         }
-        let count = per_column.entry(c).or_insert(0);
         if *count >= cfg.max_literals_per_column {
             continue;
         }
+        if *count == 0 {
+            columns_used += 1;
+        }
         *count += 1;
-        columns_used.insert(c);
         predicate_pairs.push((c, l));
         spent += row_cost;
     }
-
-    // Consume the cost model for dimension estimates so extreme databases
-    // shrink the scope further (cube cost grows with dims).
-    let _ = cost;
-    let _ = catalog;
 
     Scope {
         agg_columns,

@@ -35,7 +35,7 @@ pub mod wordbreak;
 pub use claims::{detect_claims, ClaimDetectorConfig, ClaimMention};
 pub use deptree::DependencyTree;
 pub use numbers::{parse_number_mentions, NumberMention};
-pub use rounding::{matches_claim, matches_value, round_decimals, round_significant};
+pub use rounding::{matches_claim, matches_value, round_decimals, round_significant, ClaimMatcher};
 pub use sentence::split_sentences;
 pub use stem::stem;
 pub use structure::{parse_document, Document, Paragraph, Section, SectionPath, Sentence};

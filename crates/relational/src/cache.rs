@@ -18,6 +18,17 @@
 //! [`EvalCache::stats`] assembles a consistent-enough snapshot without
 //! stopping writers.
 //!
+//! # Coverage
+//!
+//! A resident slice (or an in-flight computation) serves a probe only if
+//! its cube's literal lists hold every literal the probe needs. Lists are
+//! shared allocations ([`Literals`]): the planner requests the catalog's
+//! own list, the cube built for the miss keeps it, so the usual answer is
+//! pointer identity per dimension. A wave probe
+//! ([`EvalCache::flight_batch_many`]) compares lists that are merely
+//! *equal* (or nested) once per pair for the whole wave, not once per key,
+//! which keeps the cache-wide planning lock short.
+//!
 //! # Single-flight
 //!
 //! A cache miss is not just a miss: with many workers evaluating claims
@@ -58,7 +69,7 @@
 //! Patch flights dedup through the same in-flight table as full scans —
 //! waiters only join flights targeting *their* watermark.
 
-use crate::cube::{CubeResult, DimSel, ScanCheckpoint};
+use crate::cube::{literals_cover, CubeResult, GroupKey, ListPairMemo, Literals, ScanCheckpoint};
 use crate::database::ColumnRef;
 use crate::fxhash::FxHasher;
 use crate::query::{AggColumn, AggFunction};
@@ -75,8 +86,10 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex};
 pub struct CacheKey {
     pub function: AggFunction,
     pub column: AggColumn,
-    /// Cube dimensions, sorted for canonical form.
-    pub dims: Vec<ColumnRef>,
+    /// Cube dimensions, sorted for canonical form; one allocation shared
+    /// by every key of a cube ([`CacheKey::for_cube`]) and by their clones
+    /// in the flight table.
+    pub dims: Arc<[ColumnRef]>,
     /// [`Database::version`](crate::database::Database::version) the entry
     /// was (or will be) computed against. A structural mutation bumps the
     /// version, so probes simply stop finding pre-mutation entries.
@@ -87,16 +100,32 @@ impl CacheKey {
     pub fn new(
         function: AggFunction,
         column: AggColumn,
-        mut dims: Vec<ColumnRef>,
+        dims: Vec<ColumnRef>,
         version: u64,
     ) -> Self {
-        dims.sort_unstable();
-        Self {
-            function,
-            column,
-            dims,
-            version,
-        }
+        Self::for_cube(&[(function, column)], &dims, version)
+            .pop()
+            .expect("one key per aggregate")
+    }
+
+    /// The keys of one cube, one per aggregate in `aggs` order, sharing a
+    /// single sorted dimension list.
+    pub fn for_cube(
+        aggs: &[(AggFunction, AggColumn)],
+        dims: &[ColumnRef],
+        version: u64,
+    ) -> Vec<CacheKey> {
+        let mut sorted = dims.to_vec();
+        sorted.sort_unstable();
+        let dims: Arc<[ColumnRef]> = sorted.into();
+        aggs.iter()
+            .map(|&(function, column)| CacheKey {
+                function,
+                column,
+                dims: dims.clone(),
+                version,
+            })
+            .collect()
     }
 }
 
@@ -140,24 +169,47 @@ impl CachedSlice {
     }
 
     /// The relevant literals this slice was built over, per dimension.
-    pub fn relevant(&self) -> &[Vec<Value>] {
+    pub fn relevant(&self) -> &[Literals] {
         self.cube.relevant()
+    }
+
+    /// The cube this slice is cut from. Slices of one wave usually share a
+    /// handful of cubes; readers resolve literal codes and group rows once
+    /// per distinct cube ([`Arc::ptr_eq`]) and read every slice from them.
+    pub fn cube(&self) -> &Arc<CubeResult> {
+        &self.cube
     }
 
     /// Does this slice contain every literal in `needed` (per dimension,
     /// aligned with the cube's dimension order)?
-    pub fn covers(&self, needed: &[Vec<Value>]) -> bool {
-        if needed.len() != self.cube.dims().len() {
-            return false;
+    pub fn covers(&self, needed: &[Literals]) -> bool {
+        literals_cover(self.cube.relevant(), needed)
+    }
+
+    /// This slice's aggregate out of one group of its cube
+    /// ([`CubeResult::group`]); the inner `None` is SQL NULL. An absent
+    /// group reads as 0 for count-like aggregates, NULL otherwise.
+    #[inline]
+    pub fn read(&self, group: Option<&[Option<f64>]>) -> Option<f64> {
+        if self.count_like {
+            Some(self.read_count(group))
+        } else {
+            group.and_then(|vals| vals[self.agg_idx])
         }
-        needed.iter().enumerate().all(|(dim, lits)| {
-            lits.iter()
-                .all(|lit| self.cube.literal_index(dim, lit).is_some())
-        })
+    }
+
+    /// [`CachedSlice::read`] with count semantics (absent group = 0)
+    /// regardless of the slice's aggregate kind — how ratio aggregates read
+    /// their `Count` numerators and denominators.
+    #[inline]
+    pub fn read_count(&self, group: Option<&[Option<f64>]>) -> f64 {
+        group.and_then(|vals| vals[self.agg_idx]).unwrap_or(0.0)
     }
 
     /// Look up the aggregate for an assignment expressed as *values*
-    /// (`None` = dimension unrestricted), aligned with [`Self::dims`].
+    /// (`None` = dimension unrestricted), aligned with [`Self::dims`] — a
+    /// by-value wrapper over the coded read, kept as the oracle the tests
+    /// compare against.
     ///
     /// Returns `Ok(aggregate)` where the inner `Option` is SQL NULL, or
     /// `Err(())` when some literal is unknown to this slice (a cache-coverage
@@ -166,44 +218,17 @@ impl CachedSlice {
     // straight into a cache miss.
     #[allow(clippy::result_unit_err)]
     pub fn lookup(&self, assignment: &[Option<Value>]) -> Result<Option<f64>, ()> {
-        let sel = self.selectors(assignment)?;
-        if self.count_like {
-            Ok(Some(self.cube.get_count(&sel, self.agg_idx)))
-        } else {
-            Ok(self.cube.get(&sel, self.agg_idx))
-        }
-    }
-
-    /// Count-semantics lookup (absent group = 0), regardless of the slice's
-    /// aggregate kind. Only meaningful for count slices.
-    #[allow(clippy::result_unit_err)]
-    pub fn lookup_count(&self, assignment: &[Option<Value>]) -> Result<f64, ()> {
-        let sel = self.selectors(assignment)?;
-        Ok(self.cube.get_count(&sel, self.agg_idx))
-    }
-
-    fn selectors(&self, assignment: &[Option<Value>]) -> Result<Vec<DimSel>, ()> {
         if assignment.len() != self.cube.dims().len() {
             return Err(());
         }
-        assignment
-            .iter()
-            .enumerate()
-            .map(|(dim, v)| match v {
-                None => Ok(DimSel::Any),
-                Some(value) => {
-                    // A literal that was requested as relevant but does not
-                    // occur in the column has no index *only if* it was not
-                    // part of the cube's relevant list; requested literals
-                    // are always listed, so a miss here means the cache entry
-                    // was built for a different literal set.
-                    self.cube
-                        .literal_index(dim, value)
-                        .map(DimSel::Literal)
-                        .ok_or(())
-                }
-            })
-            .collect()
+        let mut key = GroupKey::UNRESTRICTED;
+        for (dim, value) in assignment.iter().enumerate() {
+            if let Some(value) = value {
+                let code = self.cube.literal_index(dim, value).ok_or(())?;
+                key = key.with_literal(dim, code as u8);
+            }
+        }
+        Ok(self.read(self.cube.group(key)))
     }
 }
 
@@ -318,11 +343,21 @@ impl Shard {
 
     /// Find a resident slice covering `needed` at exactly watermark `rows`,
     /// without touching counters.
-    fn lookup(&self, key: &CacheKey, needed: &[Vec<Value>], rows: u64) -> Option<CachedSlice> {
+    fn lookup(
+        &self,
+        key: &CacheKey,
+        needed: &[Literals],
+        rows: u64,
+        memo: &mut ListPairMemo,
+    ) -> Option<CachedSlice> {
         self.entries
             .read()
             .get(key)
-            .and_then(|slices| slices.iter().find(|s| s.rows == rows && s.covers(needed)))
+            .and_then(|slices| {
+                slices
+                    .iter()
+                    .find(|s| s.rows == rows && memo.cover(s.relevant(), needed))
+            })
             .cloned()
     }
 
@@ -332,7 +367,7 @@ impl Shard {
     fn patch_base(
         &self,
         key: &CacheKey,
-        needed: &[Vec<Value>],
+        needed: &[Literals],
         rows: u64,
     ) -> Option<Arc<ScanCheckpoint>> {
         self.entries
@@ -350,16 +385,6 @@ impl Shard {
 // Single-flight
 // ---------------------------------------------------------------------------
 
-/// Does `have` (one literal list per dimension) include every literal of
-/// `needed`? The flight-table analogue of [`CachedSlice::covers`].
-fn covers(have: &[Vec<Value>], needed: &[Vec<Value>]) -> bool {
-    have.len() == needed.len()
-        && needed
-            .iter()
-            .zip(have)
-            .all(|(n, h)| n.iter().all(|lit| h.contains(lit)))
-}
-
 #[derive(Debug)]
 enum FlightState {
     /// The owning [`FlightGuard`] is still computing.
@@ -375,7 +400,7 @@ enum FlightState {
 /// `parking_lot` shim has no condition variable.
 #[derive(Debug)]
 struct InFlight {
-    relevant: Vec<Vec<Value>>,
+    relevant: Vec<Literals>,
     /// Watermark the computation targets: probes at a different watermark
     /// must not join (they would read a grid for the wrong snapshot).
     rows: u64,
@@ -400,7 +425,7 @@ pub struct FlightRequest<'a> {
     /// The cube's cache keys (one per aggregate).
     pub keys: &'a [CacheKey],
     /// Relevant literals per dimension — one coverage for the whole cube.
-    pub needed: &'a [Vec<Value>],
+    pub needed: &'a [Literals],
     /// Watermark the requester's snapshot is pinned at; hits, joins, and
     /// published slices all match on it exactly.
     pub rows: u64,
@@ -440,7 +465,7 @@ impl FlightGuard {
 
     /// The literal coverage this flight promised (the `needed` sets of the
     /// original probe); the published slice must cover it.
-    pub fn relevant(&self) -> &[Vec<Value>] {
+    pub fn relevant(&self) -> &[Literals] {
         &self.flight.relevant
     }
 
@@ -594,9 +619,9 @@ impl EvalCache {
     /// Fetch a slice covering `needed` literals at exactly watermark
     /// `rows`, counting a hit or miss. A stale-stamped slice never hits —
     /// that is the whole point of the stamp.
-    pub fn get(&self, key: &CacheKey, needed: &[Vec<Value>], rows: u64) -> Option<CachedSlice> {
+    pub fn get(&self, key: &CacheKey, needed: &[Literals], rows: u64) -> Option<CachedSlice> {
         let shard = &self.inner.shards[self.shard_of(key)];
-        match shard.lookup(key, needed, rows) {
+        match shard.lookup(key, needed, rows, &mut ListPairMemo::default()) {
             Some(slice) => {
                 shard.hits.fetch_add(1, Ordering::Relaxed);
                 Some(slice)
@@ -617,9 +642,23 @@ impl EvalCache {
     /// joined when its promised literal coverage includes `needed`;
     /// otherwise the caller computes its own slice, exactly as a warm
     /// sequential run would have.
-    pub fn flight(&self, key: &CacheKey, needed: &[Vec<Value>], rows: u64) -> Flight {
+    pub fn flight(&self, key: &CacheKey, needed: &[Literals], rows: u64) -> Flight {
+        self.flight_memo(key, needed, rows, &mut ListPairMemo::default())
+    }
+
+    /// [`EvalCache::flight`] sharing one probe's coverage answers: the keys
+    /// of a wave resolve to slices of a few cubes built over a few lists,
+    /// so whether a resident list covers a requested one is worked out once
+    /// per pair of lists, not once per key.
+    fn flight_memo(
+        &self,
+        key: &CacheKey,
+        needed: &[Literals],
+        rows: u64,
+        memo: &mut ListPairMemo,
+    ) -> Flight {
         let shard = &self.inner.shards[self.shard_of(key)];
-        if let Some(slice) = shard.lookup(key, needed, rows) {
+        if let Some(slice) = shard.lookup(key, needed, rows, memo) {
             shard.hits.fetch_add(1, Ordering::Relaxed);
             return Flight::Hit(slice);
         }
@@ -631,7 +670,7 @@ impl EvalCache {
         // published (and retired its flight) between the read above and
         // this lock — without the re-check we would register a flight no
         // one else can see progress on.
-        if let Some(slice) = shard.lookup(key, needed, rows) {
+        if let Some(slice) = shard.lookup(key, needed, rows, memo) {
             shard.hits.fetch_add(1, Ordering::Relaxed);
             return Flight::Hit(slice);
         }
@@ -639,7 +678,7 @@ impl EvalCache {
         if let Some(flight) = inflight.get(key).and_then(|flights| {
             flights
                 .iter()
-                .find(|f| f.rows == rows && covers(&f.relevant, needed))
+                .find(|f| f.rows == rows && literals_cover(&f.relevant, needed))
         }) {
             shard.singleflight_waits.fetch_add(1, Ordering::Relaxed);
             return Flight::Wait(FlightWaiter {
@@ -688,7 +727,7 @@ impl EvalCache {
     /// or wait/hit on *all* of them — the aggregate set of one cube can
     /// never be split across two executions by claim interleaving. All
     /// keys share `needed` (one cube has one literal coverage).
-    pub fn flight_batch(&self, keys: &[CacheKey], needed: &[Vec<Value>], rows: u64) -> Vec<Flight> {
+    pub fn flight_batch(&self, keys: &[CacheKey], needed: &[Literals], rows: u64) -> Vec<Flight> {
         let mut out =
             self.flight_batch_many(std::slice::from_ref(&FlightRequest { keys, needed, rows }));
         out.pop().expect("one flight set per request")
@@ -709,13 +748,14 @@ impl EvalCache {
             .planning
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut memo = ListPairMemo::default();
         requests
             .iter()
             .map(|request| {
                 request
                     .keys
                     .iter()
-                    .map(|key| self.flight(key, request.needed, request.rows))
+                    .map(|key| self.flight_memo(key, request.needed, request.rows, &mut memo))
                     .collect()
             })
             .collect()
@@ -844,7 +884,7 @@ mod tests {
         let cat = db.resolve("t", "cat").unwrap();
         let cube = CubeQuery {
             dims: vec![cat],
-            relevant: vec![literals],
+            relevant: vec![literals.into()],
             aggregates: vec![(AggFunction::Count, AggColumn::Star)],
         }
         .execute(db)
@@ -867,10 +907,13 @@ mod tests {
     fn coverage_check() {
         let db = db();
         let s = slice(&db, vec!["a".into(), "b".into()]);
-        assert!(s.covers(&[vec!["a".into()]]));
-        assert!(s.covers(&[vec!["a".into(), "b".into()]]));
-        assert!(!s.covers(&[vec!["c".into()]]));
-        assert!(!s.covers(&[vec![], vec![]]), "dimension count must match");
+        assert!(s.covers(&[vec!["a".into()].into()]));
+        assert!(s.covers(&[vec!["a".into(), "b".into()].into()]));
+        assert!(!s.covers(&[vec!["c".into()].into()]));
+        assert!(
+            !s.covers(&[vec![].into(), vec![].into()]),
+            "dimension count must match"
+        );
     }
 
     #[test]
@@ -879,7 +922,7 @@ mod tests {
         let cat = db.resolve("t", "cat").unwrap();
         let cache = EvalCache::new();
         let key = CacheKey::new(AggFunction::Count, AggColumn::Star, vec![cat], 0);
-        let needed = vec![vec![Value::from("a")]];
+        let needed = vec![vec![Value::from("a")].into()];
 
         assert!(cache.get(&key, &needed, 4).is_none());
         assert_eq!(cache.stats().misses(), 1);
@@ -889,7 +932,7 @@ mod tests {
         assert_eq!(cache.stats().hits(), 1);
 
         // A broader literal set than cached is a miss (coverage).
-        let broader = vec![vec![Value::from("a"), Value::from("c")]];
+        let broader = vec![vec![Value::from("a"), Value::from("c")].into()];
         assert!(cache.get(&key, &broader, 4).is_none());
         assert_eq!(cache.stats().misses(), 2);
         assert!(cache.stats().hit_rate() > 0.3 && cache.stats().hit_rate() < 0.4);
@@ -902,6 +945,46 @@ mod tests {
         let k1 = CacheKey::new(AggFunction::Count, AggColumn::Star, vec![a, b], 0);
         let k2 = CacheKey::new(AggFunction::Count, AggColumn::Star, vec![b, a], 0);
         assert_eq!(k1, k2);
+    }
+
+    #[test]
+    fn cube_keys_share_dimensions_and_equal_single_keys() {
+        let a = ColumnRef::new(0, 1);
+        let b = ColumnRef::new(0, 2);
+        let aggs = [
+            (AggFunction::Count, AggColumn::Star),
+            (AggFunction::Sum, AggColumn::Column(b)),
+        ];
+        let keys = CacheKey::for_cube(&aggs, &[b, a], 7);
+        assert_eq!(keys.len(), 2);
+        assert!(Arc::ptr_eq(&keys[0].dims, &keys[1].dims));
+        for (key, &(f, c)) in keys.iter().zip(&aggs) {
+            assert_eq!(*key, CacheKey::new(f, c, vec![a, b], 7));
+        }
+    }
+
+    /// A probe whose lists equal the resident slice's without being the same
+    /// allocation (a catalog rebuilt over the same data) still hits, on every
+    /// key of the cube.
+    #[test]
+    fn equal_lists_from_another_allocation_hit() {
+        let db = db();
+        let cat = db.resolve("t", "cat").unwrap();
+        let cache = EvalCache::new();
+        let aggs = [
+            (AggFunction::Count, AggColumn::Star),
+            (AggFunction::CountDistinct, AggColumn::Star),
+        ];
+        let keys = CacheKey::for_cube(&aggs, &[cat], 0);
+        let resident = slice(&db, vec!["a".into(), "b".into()]);
+        for key in &keys {
+            cache.put(key.clone(), resident.clone());
+        }
+        let needed: Vec<Literals> = vec![vec!["a".into(), "b".into()].into()];
+        assert!(!Arc::ptr_eq(&needed[0], &resident.relevant()[0]));
+        let flights = cache.flight_batch(&keys, &needed, db.watermark());
+        assert!(flights.iter().all(|f| matches!(f, Flight::Hit(_))));
+        assert_eq!(cache.stats().hits(), 2);
     }
 
     #[test]
@@ -937,8 +1020,8 @@ mod tests {
         let cat = db.resolve("t", "cat").unwrap();
         let cache = EvalCache::new();
         let key = CacheKey::new(AggFunction::Count, AggColumn::Star, vec![cat], 0);
-        let ab = vec![vec![Value::from("a"), Value::from("b")]];
-        let bc = vec![vec![Value::from("b"), Value::from("c")]];
+        let ab = vec![vec![Value::from("a"), Value::from("b")].into()];
+        let bc = vec![vec![Value::from("b"), Value::from("c")].into()];
         cache.put(key.clone(), slice(&db, vec!["a".into(), "b".into()]));
         // A narrower put is a no-op: the resident slice already covers it.
         cache.put(key.clone(), slice(&db, vec!["a".into()]));
@@ -981,8 +1064,12 @@ mod tests {
             (lits.len() - SLICES_PER_KEY) as u64
         );
         // The newest survives, the oldest is gone.
-        assert!(cache.get(&key, &[vec![Value::from("l-f")]], 4).is_some());
-        assert!(cache.get(&key, &[vec![Value::from("a")]], 4).is_none());
+        assert!(cache
+            .get(&key, &[vec![Value::from("l-f")].into()], 4)
+            .is_some());
+        assert!(cache
+            .get(&key, &[vec![Value::from("a")].into()], 4)
+            .is_none());
     }
 
     #[test]
@@ -1054,7 +1141,7 @@ mod tests {
         let cat = db.resolve("t", "cat").unwrap();
         let cache = EvalCache::new();
         let key = CacheKey::new(AggFunction::Count, AggColumn::Star, vec![cat], 0);
-        let needed = vec![vec![Value::from("a")]];
+        let needed = vec![vec![Value::from("a")].into()];
 
         let guard = match cache.flight(&key, &needed, 4) {
             Flight::Compute(g) => g,
@@ -1069,7 +1156,7 @@ mod tests {
         };
         // A probe needing literals the flight does not cover computes its
         // own slice instead of joining.
-        let broader = vec![vec![Value::from("a"), Value::from("b")]];
+        let broader = vec![vec![Value::from("a"), Value::from("b")].into()];
         let own = match cache.flight(&key, &broader, 4) {
             Flight::Compute(g) => g,
             other => panic!("non-covered probe must compute, got {other:?}"),
@@ -1098,7 +1185,7 @@ mod tests {
         let cat = db.resolve("t", "cat").unwrap();
         let cache = EvalCache::new();
         let key = CacheKey::new(AggFunction::Count, AggColumn::Star, vec![cat], 0);
-        let needed = vec![vec![Value::from("a")]];
+        let needed = vec![vec![Value::from("a")].into()];
         let waiters = 7usize;
 
         // Phase 1: the main thread wins the flight and holds it.
@@ -1155,8 +1242,8 @@ mod tests {
         let db = db();
         let cat = db.resolve("t", "cat").unwrap();
         let cache = EvalCache::new();
-        let needed_a = vec![vec![Value::from("a")]];
-        let needed_b = vec![vec![Value::from("b")]];
+        let needed_a = vec![vec![Value::from("a")].into()];
+        let needed_b = vec![vec![Value::from("b")].into()];
         let count_keys = [CacheKey::new(
             AggFunction::Count,
             AggColumn::Star,
@@ -1217,7 +1304,7 @@ mod tests {
         let cache = EvalCache::new();
         let key_a = CacheKey::new(AggFunction::Count, AggColumn::Star, vec![cat], 0);
         let key_b = CacheKey::new(AggFunction::CountDistinct, AggColumn::Star, vec![cat], 0);
-        let needed = vec![vec![Value::from("a")]];
+        let needed = vec![vec![Value::from("a")].into()];
         assert_eq!(cache.inflight_len(), 0);
         let guard_a = match cache.flight(&key_a, &needed, 4) {
             Flight::Compute(g) => g,
@@ -1249,7 +1336,7 @@ mod tests {
         let cat = db.resolve("t", "cat").unwrap();
         let cache = EvalCache::new();
         let key = CacheKey::new(AggFunction::Count, AggColumn::Star, vec![cat], 0);
-        let needed = vec![vec![Value::from("a")]];
+        let needed = vec![vec![Value::from("a")].into()];
 
         let guard = match cache.flight(&key, &needed, 4) {
             Flight::Compute(g) => g,
@@ -1279,7 +1366,7 @@ mod tests {
         let n_threads = 8usize;
         let n_keys = 32usize;
         let rounds = 200usize;
-        let needed = vec![vec![Value::from("a")]];
+        let needed = vec![vec![Value::from("a")].into()];
         let gets_answered: u64 = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..n_threads)
                 .map(|t| {
@@ -1347,7 +1434,7 @@ mod tests {
         };
         let cube = CubeQuery {
             dims: vec![cat],
-            relevant: vec![vec!["a".into()]],
+            relevant: vec![vec!["a".into()].into()],
             aggregates: vec![(AggFunction::Count, AggColumn::Star)],
         };
         let r1 = cube.execute_with(&db, &options).unwrap();
@@ -1356,7 +1443,7 @@ mod tests {
 
         let cache = EvalCache::new();
         let key = CacheKey::new(AggFunction::Count, AggColumn::Star, vec![cat], db.version());
-        let needed = vec![vec![Value::from("a")]];
+        let needed = vec![vec![Value::from("a")].into()];
         cache.put(
             key.clone(),
             CachedSlice::new(Arc::new(r1), 0, AggFunction::Count, w1),
@@ -1410,7 +1497,7 @@ mod tests {
         let cat = db.resolve("t", "cat").unwrap();
         let cache = EvalCache::new();
         let key = CacheKey::new(AggFunction::Count, AggColumn::Star, vec![cat], 0);
-        let needed = vec![vec![Value::from("a")]];
+        let needed = vec![vec![Value::from("a")].into()];
         let g4 = match cache.flight(&key, &needed, 4) {
             Flight::Compute(g) => g,
             other => panic!("expected Compute, got {other:?}"),
@@ -1443,7 +1530,7 @@ mod tests {
         let key_v = |db: &Database| {
             CacheKey::new(AggFunction::Count, AggColumn::Star, vec![cat], db.version())
         };
-        let needed = vec![vec![Value::from("a")]];
+        let needed = vec![vec![Value::from("a")].into()];
         cache.put(key_v(&db), slice(&db, vec!["a".into()]));
         assert!(cache.get(&key_v(&db), &needed, db.watermark()).is_some());
         db.unseal_tables();
@@ -1465,7 +1552,7 @@ mod tests {
         let mk = |lit: &str, rows: u64| {
             let cube = CubeQuery {
                 dims: vec![cat],
-                relevant: vec![vec![lit.into()]],
+                relevant: vec![vec![lit.into()].into()],
                 aggregates: vec![(AggFunction::Count, AggColumn::Star)],
             }
             .execute(&db)
@@ -1481,13 +1568,19 @@ mod tests {
         // Overflow: the stale-stamped "a"@3 goes first, not the oldest
         // fresh slice.
         cache.put(key.clone(), mk("l-e", 4));
-        assert!(cache.get(&key, &[vec![Value::from("a")]], 3).is_none());
-        assert!(cache.get(&key, &[vec![Value::from("b")]], 4).is_some());
+        assert!(cache
+            .get(&key, &[vec![Value::from("a")].into()], 3)
+            .is_none());
+        assert!(cache
+            .get(&key, &[vec![Value::from("b")].into()], 4)
+            .is_some());
         // A put stamped older than a newer-stamped covering resident slice
         // lands but can never displace it.
         cache.put(key.clone(), mk("b", 3));
         assert!(
-            cache.get(&key, &[vec![Value::from("b")]], 4).is_some(),
+            cache
+                .get(&key, &[vec![Value::from("b")].into()], 4)
+                .is_some(),
             "older-stamped put must not displace the fresh slice"
         );
     }

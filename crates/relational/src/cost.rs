@@ -121,12 +121,12 @@ mod tests {
         let x = d.resolve("big", "x").unwrap();
         let one_dim = CubeQuery {
             dims: vec![x],
-            relevant: vec![vec![Value::Int(1)]],
+            relevant: vec![vec![Value::Int(1)].into()],
             aggregates: vec![(AggFunction::Count, AggColumn::Star)],
         };
         let two_dim = CubeQuery {
             dims: vec![x, x],
-            relevant: vec![vec![Value::Int(1)], vec![Value::Int(2)]],
+            relevant: vec![vec![Value::Int(1)].into(), vec![Value::Int(2)].into()],
             aggregates: vec![
                 (AggFunction::Count, AggColumn::Star),
                 (AggFunction::Sum, AggColumn::Column(x)),

@@ -122,11 +122,93 @@ pub enum DimSel {
     Literal(usize),
 }
 
+/// One dimension's relevant literals. Shared, not copied: the planner hands
+/// every cube over a column the *same* list (`agg-core`'s catalog owns
+/// it), so requests, flights, results and cache slices usually agree on
+/// coverage by pointer identity, before any value is compared.
+pub type Literals = std::sync::Arc<[Value]>;
+
+/// Are two literal lists the same list? Identity first — the common case
+/// for canonical lists — then by value.
+pub fn same_literals(a: &Literals, b: &Literals) -> bool {
+    std::sync::Arc::ptr_eq(a, b) || a == b
+}
+
+/// Does `have` (one literal list per dimension) include every literal of
+/// `needed`? Asked once; a wave that asks it per key keeps a
+/// [`ListPairMemo`] instead.
+pub fn literals_cover(have: &[Literals], needed: &[Literals]) -> bool {
+    ListPairMemo::default().cover(have, needed)
+}
+
+/// Answers to one yes/no question about pairs of literal lists, remembered
+/// by list identity. A wave names few distinct lists (one per column per
+/// catalog), but asks about them once per cube, key and dimension: lists
+/// that are equal without being the same allocation — a catalog rebuilt
+/// after an append, against grids patched forward from before it — are
+/// compared by value once per memo instead of once per question. The memo
+/// holds the lists it has seen, so an evicted list's address cannot be
+/// reused under it.
+#[derive(Default)]
+pub struct ListPairMemo(Vec<(Literals, Literals, bool)>);
+
+impl ListPairMemo {
+    /// The remembered answer for `(a, b)`, or `decide()` remembered. The
+    /// same allocation on both sides answers `true` unasked, so only
+    /// questions reflexive lists answer with yes belong here.
+    fn get(&mut self, a: &Literals, b: &Literals, decide: impl FnOnce() -> bool) -> bool {
+        use std::sync::Arc;
+        if Arc::ptr_eq(a, b) {
+            return true;
+        }
+        if let Some((_, _, answer)) = self
+            .0
+            .iter()
+            .find(|(x, y, _)| Arc::ptr_eq(x, a) && Arc::ptr_eq(y, b))
+        {
+            return *answer;
+        }
+        let answer = decide();
+        self.0.push((a.clone(), b.clone(), answer));
+        answer
+    }
+
+    /// [`same_literals`], remembered.
+    pub fn same(&mut self, a: &Literals, b: &Literals) -> bool {
+        self.get(a, b, || a == b)
+    }
+
+    /// Does `have` (one list per dimension) hold every literal of `needed`,
+    /// remembered per dimension's list pair. Equal lists (the case worth
+    /// being fast) cost one pass; only genuinely different lists pay the
+    /// subset test.
+    pub fn cover(&mut self, have: &[Literals], needed: &[Literals]) -> bool {
+        have.len() == needed.len()
+            && needed
+                .iter()
+                .zip(have)
+                .all(|(n, h)| self.get(h, n, || h == n || n.iter().all(|lit| h.contains(lit))))
+    }
+}
+
 /// A packed group key: one byte per dimension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GroupKey(u64);
 
 impl GroupKey {
+    /// The group with every dimension unrestricted (rolled up).
+    pub const UNRESTRICTED: GroupKey = GroupKey(u64::MAX);
+
+    /// This key with dimension `dim` fixed to the literal at index `code`
+    /// of the cube's relevant list for that dimension
+    /// ([`CubeResult::literal_index`]).
+    #[inline]
+    pub fn with_literal(self, dim: usize, code: u8) -> GroupKey {
+        debug_assert!(dim < MAX_DIMS && code < OTHER);
+        let shift = 8 * dim;
+        GroupKey((self.0 & !(0xff << shift)) | ((code as u64) << shift))
+    }
+
     fn from_codes(codes: &[u8]) -> GroupKey {
         debug_assert!(codes.len() <= MAX_DIMS);
         let mut key = 0u64;
@@ -159,7 +241,7 @@ pub struct CubeQuery {
     /// Cube dimensions (categorical or numeric columns used in predicates).
     pub dims: Vec<ColumnRef>,
     /// Relevant literals per dimension; everything else maps to `OTHER`.
-    pub relevant: Vec<Vec<Value>>,
+    pub relevant: Vec<Literals>,
     /// Value aggregates to compute per group. Ratio aggregates are *not*
     /// allowed here — derive them from `Count` results (see
     /// [`crate::aggregate::ratio_from_counts`]).
@@ -253,7 +335,7 @@ impl Default for CubeOptions {
 #[derive(Debug, Clone)]
 pub struct CubeResult {
     dims: Vec<ColumnRef>,
-    relevant: Vec<Vec<Value>>,
+    relevant: Vec<Literals>,
     n_aggs: usize,
     groups: FxHashMap<GroupKey, Vec<Option<f64>>>,
     pub stats: CubeStats,
@@ -1841,7 +1923,7 @@ impl CubeResult {
         &self.dims
     }
 
-    pub fn relevant(&self) -> &[Vec<Value>] {
+    pub fn relevant(&self) -> &[Literals] {
         &self.relevant
     }
 
@@ -1854,6 +1936,15 @@ impl CubeResult {
         self.relevant[dim].iter().position(|v| v == value)
     }
 
+    /// Every aggregate of the group at `key`, in the cube's aggregate
+    /// order; `None` when no row fell in the group. The coded read the
+    /// candidate demultiplexer runs on: one lookup serves every aggregate
+    /// of every slice cut from this cube.
+    #[inline]
+    pub fn group(&self, key: GroupKey) -> Option<&[Option<f64>]> {
+        self.groups.get(&key).map(Vec::as_slice)
+    }
+
     /// Look up the aggregate `agg_idx` for the group selected by
     /// `assignment` (one selector per dimension).
     ///
@@ -1862,37 +1953,27 @@ impl CubeResult {
     /// group reads as `Some(0.0)` only via [`CubeResult::get_count`].
     pub fn get(&self, assignment: &[DimSel], agg_idx: usize) -> Option<f64> {
         let key = self.assignment_key(assignment)?;
-        self.groups.get(&key).and_then(|vals| vals[agg_idx])
+        self.group(key).and_then(|vals| vals[agg_idx])
     }
 
     /// Like [`CubeResult::get`] for count aggregates: an absent group means
     /// zero matching rows, so the count is 0.
     pub fn get_count(&self, assignment: &[DimSel], agg_idx: usize) -> f64 {
-        match self.assignment_key(assignment) {
-            Some(key) => self
-                .groups
-                .get(&key)
-                .and_then(|vals| vals[agg_idx])
-                .unwrap_or(0.0),
-            None => 0.0,
-        }
+        self.get(assignment, agg_idx).unwrap_or(0.0)
     }
 
     fn assignment_key(&self, assignment: &[DimSel]) -> Option<GroupKey> {
         debug_assert_eq!(assignment.len(), self.dims.len());
-        let mut codes = Vec::with_capacity(assignment.len());
+        let mut key = GroupKey::UNRESTRICTED;
         for (i, sel) in assignment.iter().enumerate() {
-            match sel {
-                DimSel::Any => codes.push(ALL),
-                DimSel::Literal(idx) => {
-                    if *idx >= self.relevant[i].len() {
-                        return None;
-                    }
-                    codes.push(*idx as u8);
+            if let DimSel::Literal(idx) = sel {
+                if *idx >= self.relevant[i].len() {
+                    return None;
                 }
+                key = key.with_literal(i, *idx as u8);
             }
         }
-        Some(GroupKey::from_codes(&codes))
+        Some(key)
     }
 
     /// Total number of materialized groups.
@@ -2004,11 +2085,12 @@ mod tests {
         CubeQuery {
             dims: vec![games, cat],
             relevant: vec![
-                vec!["indef".into()],
+                vec!["indef".into()].into(),
                 vec![
                     "gambling".into(),
                     "substance abuse, repeated offense".into(),
-                ],
+                ]
+                .into(),
             ],
             aggregates: vec![
                 (AggFunction::Count, AggColumn::Star),
@@ -2157,7 +2239,7 @@ mod tests {
         for (name, options) in option_variants() {
             let r = CubeQuery {
                 dims: vec![games],
-                relevant: vec![vec!["indef".into()]],
+                relevant: vec![vec!["indef".into()].into()],
                 aggregates: vec![(AggFunction::CountDistinct, AggColumn::Column(year))],
             }
             .execute_with(&db, &options)
@@ -2187,7 +2269,7 @@ mod tests {
         for (name, options) in option_variants() {
             let r = CubeQuery {
                 dims: vec![games],
-                relevant: vec![vec!["indef".into(), "not-in-data".into()]],
+                relevant: vec![vec!["indef".into(), "not-in-data".into()].into()],
                 aggregates: vec![(AggFunction::Count, AggColumn::Star)],
             }
             .execute_with(&db, &options)
@@ -2197,6 +2279,61 @@ mod tests {
             // Out-of-range literal index is not a panic either.
             assert_eq!(r.get_count(&[DimSel::Literal(9)], 0), 0.0, "[{name}]");
         }
+    }
+
+    /// The coded read: a packed key built on the stack addresses the same
+    /// group as the selector-based lookup, one lookup serving every
+    /// aggregate of the group.
+    #[test]
+    fn group_keys_address_the_same_groups_as_selectors() {
+        let db = nfl();
+        let r = nfl_cube(&db);
+        let all = GroupKey::UNRESTRICTED;
+        for (key, sel) in [
+            (all, [DimSel::Any, DimSel::Any]),
+            (all.with_literal(0, 0), [DimSel::Literal(0), DimSel::Any]),
+            (all.with_literal(1, 1), [DimSel::Any, DimSel::Literal(1)]),
+            (
+                all.with_literal(1, 0).with_literal(0, 0),
+                [DimSel::Literal(0), DimSel::Literal(0)],
+            ),
+        ] {
+            let group = r.group(key).expect("group has rows");
+            for (agg, value) in group.iter().enumerate() {
+                assert_eq!(*value, r.get(&sel, agg), "{sel:?} aggregate {agg}");
+            }
+        }
+        // Re-fixing a dimension replaces its code.
+        assert_eq!(
+            all.with_literal(0, 1).with_literal(0, 0),
+            all.with_literal(0, 0)
+        );
+    }
+
+    #[test]
+    fn list_pair_memo_compares_each_pair_of_lists_once() {
+        let ab: Literals = vec!["a".into(), "b".into()].into();
+        let ab_again: Literals = vec!["a".into(), "b".into()].into();
+        let a: Literals = vec!["a".into()].into();
+        let mut memo = ListPairMemo::default();
+        // The same allocation needs no entry; equal lists are compared once
+        // and remembered by identity.
+        assert!(memo.same(&ab, &ab));
+        assert!(memo.0.is_empty());
+        assert!(memo.same(&ab, &ab_again));
+        assert!(memo.same(&ab, &ab_again));
+        assert_eq!(memo.0.len(), 1);
+        assert!(!memo.same(&ab, &a));
+        // Coverage is directional, one remembered answer per direction.
+        use std::slice::from_ref as one;
+        let mut memo = ListPairMemo::default();
+        assert!(memo.cover(one(&ab), one(&a)));
+        assert!(!memo.cover(one(&a), one(&ab)));
+        assert!(memo.cover(one(&ab), one(&ab_again)));
+        assert!(!memo.cover(&[ab.clone(), a.clone()], one(&ab_again)));
+        assert_eq!(memo.0.len(), 3);
+        assert!(literals_cover(one(&ab), one(&a)));
+        assert!(!literals_cover(one(&a), one(&ab)));
     }
 
     #[test]
@@ -2225,7 +2362,7 @@ mod tests {
         for (name, options) in option_variants() {
             let r = CubeQuery {
                 dims: vec![x],
-                relevant: vec![vec![Value::Int(1)]],
+                relevant: vec![vec![Value::Int(1)].into()],
                 aggregates: vec![(AggFunction::Count, AggColumn::Star)],
             }
             .execute_with(&db, &options)
@@ -2242,7 +2379,7 @@ mod tests {
         let games = db.resolve("nflsuspensions", "games").unwrap();
         let q = CubeQuery {
             dims: vec![games],
-            relevant: vec![vec!["indef".into()]],
+            relevant: vec![vec!["indef".into()].into()],
             aggregates: vec![(AggFunction::Percentage, AggColumn::Star)],
         };
         assert!(q.execute(&db).is_err());
@@ -2254,7 +2391,7 @@ mod tests {
         let games = db.resolve("nflsuspensions", "games").unwrap();
         let q = CubeQuery {
             dims: vec![games; 9],
-            relevant: vec![vec![]; 9],
+            relevant: vec![vec![].into(); 9],
             aggregates: vec![(AggFunction::Count, AggColumn::Star)],
         };
         assert!(q.execute(&db).is_err());
@@ -2267,7 +2404,7 @@ mod tests {
         for (name, options) in option_variants() {
             let r = CubeQuery {
                 dims: vec![year],
-                relevant: vec![vec![Value::Int(2014)]],
+                relevant: vec![vec![Value::Int(2014)].into()],
                 aggregates: vec![(AggFunction::Count, AggColumn::Star)],
             }
             .execute_with(&db, &options)
@@ -2326,7 +2463,7 @@ mod tests {
         let cat = db.resolve("big", "cat").unwrap();
         let q = CubeQuery {
             dims: vec![cat],
-            relevant: vec![vec!["a".into(), "b".into()]],
+            relevant: vec![vec!["a".into(), "b".into()].into()],
             aggregates: vec![(AggFunction::Count, AggColumn::Star)],
         };
         // 10k rows / 2048-row partitions → 5 partition subtasks stolen by
@@ -2367,7 +2504,7 @@ mod tests {
             nfl_cube_query(&db),
             CubeQuery {
                 dims: vec![games],
-                relevant: vec![vec!["indef".into(), "10".into()]],
+                relevant: vec![vec!["indef".into(), "10".into()].into()],
                 aggregates: vec![
                     (AggFunction::Count, AggColumn::Star),
                     (AggFunction::Avg, AggColumn::Column(year)),
@@ -2380,7 +2517,7 @@ mod tests {
             },
             CubeQuery {
                 dims: vec![cat],
-                relevant: vec![vec!["gambling".into(), "peds".into()]],
+                relevant: vec![vec!["gambling".into(), "peds".into()].into()],
                 aggregates: vec![(AggFunction::CountDistinct, AggColumn::Column(year))],
             },
         ];
@@ -2420,7 +2557,7 @@ mod tests {
         let good = nfl_cube_query(&db);
         let bad = CubeQuery {
             dims: vec![games],
-            relevant: vec![vec!["indef".into()]],
+            relevant: vec![vec!["indef".into()].into()],
             aggregates: vec![(AggFunction::Percentage, AggColumn::Star)],
         };
         assert!(execute_fused_in(&db, &[&good, &bad], &CubeOptions::default(), None).is_err());
@@ -2434,12 +2571,12 @@ mod tests {
         db.add_table(other);
         let games_cube = CubeQuery {
             dims: vec![db.resolve("nflsuspensions", "games").unwrap()],
-            relevant: vec![vec!["indef".into()]],
+            relevant: vec![vec!["indef".into()].into()],
             aggregates: vec![(AggFunction::Count, AggColumn::Star)],
         };
         let other_cube = CubeQuery {
             dims: vec![db.resolve("other", "x").unwrap()],
-            relevant: vec![vec!["a".into()]],
+            relevant: vec![vec!["a".into()].into()],
             aggregates: vec![(AggFunction::Count, AggColumn::Star)],
         };
         // A mixed-scope member set must be a clean error, not a silent
@@ -2465,7 +2602,7 @@ mod tests {
         let games = db.resolve("nflsuspensions", "games").unwrap();
         let q2 = CubeQuery {
             dims: vec![games],
-            relevant: vec![vec!["indef".into()]],
+            relevant: vec![vec!["indef".into()].into()],
             aggregates: vec![(AggFunction::Count, AggColumn::Star)],
         };
         let arena = GridArena::new();
@@ -2503,7 +2640,7 @@ mod tests {
         let num = db.resolve("big", "num").unwrap();
         let q = CubeQuery {
             dims: vec![cat],
-            relevant: vec![vec!["a".into(), "b".into()]],
+            relevant: vec![vec!["a".into(), "b".into()].into()],
             aggregates: vec![
                 (AggFunction::Sum, AggColumn::Column(num)),
                 (AggFunction::Avg, AggColumn::Column(num)),
@@ -2565,7 +2702,7 @@ mod tests {
         let num = db.resolve("clustered", "num").unwrap();
         let q = CubeQuery {
             dims: vec![cat],
-            relevant: vec![vec!["rare".into()]],
+            relevant: vec![vec!["rare".into()].into()],
             aggregates: vec![
                 (AggFunction::Count, AggColumn::Star),
                 (AggFunction::Count, AggColumn::Column(num)),
@@ -2593,7 +2730,7 @@ mod tests {
         let num = db.resolve("clustered", "num").unwrap();
         let q = CubeQuery {
             dims: vec![cat],
-            relevant: vec![vec!["rare".into()]],
+            relevant: vec![vec!["rare".into()].into()],
             aggregates: vec![
                 (AggFunction::Count, AggColumn::Star),
                 (AggFunction::Sum, AggColumn::Column(num)),
@@ -2621,7 +2758,7 @@ mod tests {
         let num = db.resolve("clustered", "num").unwrap();
         let q = CubeQuery {
             dims: vec![num],
-            relevant: vec![vec![Value::Int(7)]],
+            relevant: vec![vec![Value::Int(7)].into()],
             aggregates: vec![(AggFunction::Count, AggColumn::Star)],
         };
         // Numeric dimensions probe per row — the plan must decline the
@@ -2640,12 +2777,12 @@ mod tests {
         let num = db.resolve("clustered", "num").unwrap();
         let count_cube = CubeQuery {
             dims: vec![cat],
-            relevant: vec![vec!["rare".into()]],
+            relevant: vec![vec!["rare".into()].into()],
             aggregates: vec![(AggFunction::Count, AggColumn::Star)],
         };
         let sum_cube = CubeQuery {
             dims: vec![cat],
-            relevant: vec![vec!["aaa".into(), "zzz".into()]],
+            relevant: vec![vec!["aaa".into(), "zzz".into()].into()],
             aggregates: vec![(AggFunction::Sum, AggColumn::Column(num))],
         };
         let options = CubeOptions::default();
@@ -2711,7 +2848,7 @@ mod tests {
         let score = db.resolve("events", "score").unwrap();
         CubeQuery {
             dims: vec![cat],
-            relevant: vec![vec!["c1".into(), "c3".into()]],
+            relevant: vec![vec!["c1".into(), "c3".into()].into()],
             aggregates: vec![
                 (AggFunction::Count, AggColumn::Star),
                 (AggFunction::Count, AggColumn::Column(val)),
@@ -2767,7 +2904,7 @@ mod tests {
         let tag = base_db.resolve("events", "tag").unwrap();
         let q = CubeQuery {
             dims: vec![cat],
-            relevant: vec![vec!["b0".into()]],
+            relevant: vec![vec!["b0".into()].into()],
             aggregates: vec![
                 (AggFunction::Count, AggColumn::Star),
                 // Numeric agg encoding: partial-block nulls from the plain column.
@@ -2943,7 +3080,7 @@ mod tests {
         for f in [AggFunction::CountDistinct, AggFunction::Median] {
             let q = CubeQuery {
                 dims: vec![cat],
-                relevant: vec![vec!["c1".into()]],
+                relevant: vec![vec!["c1".into()].into()],
                 aggregates: vec![
                     (AggFunction::Count, AggColumn::Star),
                     (f, AggColumn::Column(val)),
@@ -3014,7 +3151,7 @@ mod tests {
         let pid = db.resolve("suspensions", "player_id").unwrap();
         let q = CubeQuery {
             dims: vec![team],
-            relevant: vec![vec!["ravens".into()]],
+            relevant: vec![vec!["ravens".into()].into()],
             // Aggregating a suspensions column forces the two-table join.
             aggregates: vec![(AggFunction::Count, AggColumn::Column(pid))],
         };
@@ -3079,7 +3216,7 @@ mod tests {
         let val = db.resolve("events", "val").unwrap();
         let dense = wide_cube(&db);
         // 41³ cells exceed the default dense cap: structurally hashed.
-        let many: Vec<Value> = (0..40).map(|i| Value::Str(format!("c{i}"))).collect();
+        let many: Literals = (0..40).map(|i| Value::Str(format!("c{i}"))).collect();
         let hashed = CubeQuery {
             dims: vec![cat; 3],
             relevant: vec![many; 3],
@@ -3090,7 +3227,7 @@ mod tests {
         };
         let distinct = CubeQuery {
             dims: vec![cat],
-            relevant: vec![vec!["c1".into()]],
+            relevant: vec![vec!["c1".into()].into()],
             aggregates: vec![(AggFunction::CountDistinct, AggColumn::Column(val))],
         };
         let members = [&dense, &hashed, &distinct];

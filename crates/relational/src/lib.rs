@@ -60,8 +60,8 @@ pub use cache::{
 pub use column::{ColumnData, StringDictionary, NULL_CODE};
 pub use cost::CostModel;
 pub use cube::{
-    execute_fused_in, ArenaStats, CubeOptions, CubeQuery, CubeResult, CubeStats, DimSel, GridArena,
-    GridMode, ScanCheckpoint,
+    execute_fused_in, same_literals, ArenaStats, CubeOptions, CubeQuery, CubeResult, CubeStats,
+    DimSel, GridArena, GridMode, GroupKey, ListPairMemo, Literals, ScanCheckpoint,
 };
 pub use database::{ColumnRef, Database};
 pub use error::{RelationalError, Result};

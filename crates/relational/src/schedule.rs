@@ -132,13 +132,13 @@ use crate::cache::{
 };
 use crate::cube::{
     execute_fused_in, execute_patches_in, patchable_function, validate_fused, CubeOptions,
-    CubePass, CubeQuery, CubeResult, CubeStats, GridArena, PartitionGrids, ScanCheckpoint,
+    CubePass, CubeQuery, CubeResult, CubeStats, GridArena, Literals, PartitionGrids,
+    ScanCheckpoint,
 };
 use crate::database::{ColumnRef, Database};
 use crate::error::{RelationalError, Result};
 use crate::join::JoinedRelation;
 use crate::query::{AggColumn, AggFunction};
-use crate::value::Value;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -928,7 +928,7 @@ pub enum TaskBundling {
 #[derive(Debug, Clone, Copy)]
 pub struct WaveRequest<'a> {
     pub dims: &'a [ColumnRef],
-    pub relevant: &'a [Vec<Value>],
+    pub relevant: &'a [Literals],
     pub aggs: &'a [(AggFunction, AggColumn)],
 }
 
@@ -1152,12 +1152,7 @@ pub fn run_requests(
         Some(cache) => {
             let key_store: Vec<Vec<CacheKey>> = requests
                 .iter()
-                .map(|r| {
-                    r.aggs
-                        .iter()
-                        .map(|&(f, c)| CacheKey::new(f, c, r.dims.to_vec(), version))
-                        .collect()
-                })
+                .map(|r| CacheKey::for_cube(r.aggs, r.dims, version))
                 .collect();
             let flight_requests: Vec<FlightRequest<'_>> = requests
                 .iter()
@@ -1454,7 +1449,7 @@ mod tests {
     fn count_cube(db: &Database, literals: Vec<Value>) -> CubeQuery {
         CubeQuery {
             dims: vec![db.resolve("t", "cat").unwrap()],
-            relevant: vec![literals],
+            relevant: vec![literals.into()],
             aggregates: vec![(AggFunction::Count, AggColumn::Star)],
         }
     }
@@ -1502,7 +1497,7 @@ mod tests {
             vec![ColumnRef::new(0, 0)],
             0,
         );
-        let needed = vec![vec![Value::from("a")]];
+        let needed = vec![vec![Value::from("a")].into()];
         let guard = match cache.flight(&key, &needed, db.watermark()) {
             Flight::Compute(g) => g,
             other => panic!("expected Compute, got {other:?}"),
@@ -1515,7 +1510,7 @@ mod tests {
         // in the same fused pass must still complete.
         let bad = CubeQuery {
             dims: vec![db.resolve("t", "cat").unwrap()],
-            relevant: vec![vec!["a".into()]],
+            relevant: vec![vec!["a".into()].into()],
             aggregates: vec![(AggFunction::Percentage, AggColumn::Star)],
         };
         let (bad_task, bad_handle) = CubeTask::new(bad, vec![(0, AggFunction::Percentage, guard)]);
@@ -1617,7 +1612,7 @@ mod tests {
 
     fn wave_request<'a>(
         dims: &'a [ColumnRef],
-        relevant: &'a [Vec<Value>],
+        relevant: &'a [Literals],
         aggs: &'a [(AggFunction, AggColumn)],
     ) -> WaveRequest<'a> {
         WaveRequest {
@@ -1635,7 +1630,7 @@ mod tests {
         let cat = db.resolve("t", "cat").unwrap();
         let cache = EvalCache::new();
         let dims = [cat];
-        let relevant = vec![vec![Value::from("a"), Value::from("b")]];
+        let relevant = vec![vec![Value::from("a"), Value::from("b")].into()];
         let aggs_count = [(AggFunction::Count, AggColumn::Star)];
         let aggs_distinct = [(AggFunction::CountDistinct, AggColumn::Column(cat))];
         let requests = [
@@ -1688,7 +1683,7 @@ mod tests {
         let db1 = Arc::new(db);
         let cache = EvalCache::new();
         let dims = [cat];
-        let relevant = vec![vec![Value::from("a")]];
+        let relevant = vec![vec![Value::from("a")].into()];
         let aggs = [(AggFunction::Count, AggColumn::Star)];
         let exec = WaveExec {
             cache: Some(&cache),
@@ -1741,7 +1736,7 @@ mod tests {
         let db = db();
         let cat = db.resolve("t", "cat").unwrap();
         let dims = [cat];
-        let relevant = vec![vec![Value::from("a")]];
+        let relevant = vec![vec![Value::from("a")].into()];
         let aggs = [
             (AggFunction::Count, AggColumn::Star),
             (AggFunction::CountDistinct, AggColumn::Column(cat)),
@@ -1777,7 +1772,7 @@ mod tests {
         let cache = EvalCache::new();
         let scheduler = CubeScheduler::new();
         let dims = [cat];
-        let relevant = vec![vec![Value::from("a"), Value::from("b"), Value::from("c")]];
+        let relevant = vec![vec![Value::from("a"), Value::from("b"), Value::from("c")].into()];
         let aggs = [
             (AggFunction::Count, AggColumn::Star),
             (AggFunction::CountDistinct, AggColumn::Column(cat)),

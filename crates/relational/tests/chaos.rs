@@ -71,7 +71,7 @@ fn partition_subtask_panic_fails_all_members_and_notifies_waiters() {
     let db = Arc::new(db);
     let count_cube = |literal: &str| CubeQuery {
         dims: vec![db.resolve("t", "cat").unwrap()],
-        relevant: vec![vec![literal.into()]],
+        relevant: vec![vec![literal.into()].into()],
         aggregates: vec![(AggFunction::Count, AggColumn::Star)],
     };
 
@@ -82,7 +82,7 @@ fn partition_subtask_panic_fails_all_members_and_notifies_waiters() {
         vec![ColumnRef::new(0, 0)],
         0,
     );
-    let needed = vec![vec![Value::from("a")]];
+    let needed = vec![vec![Value::from("a")].into()];
     let guard = match cache.flight(&key, &needed, db.watermark()) {
         Flight::Compute(g) => g,
         other => panic!("expected Compute, got {other:?}"),

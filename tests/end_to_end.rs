@@ -295,6 +295,196 @@ fn golden_reports_hold_under_streaming() {
     }
 }
 
+/// `AggChecker::check_text` re-composed from the public functions of each
+/// layer, the way the traced benchmark run does it
+/// (`benchmark/src/replay.rs`): solo execution shape, one wave per EM
+/// iteration, the report rebuilt by hand. Returns the report's
+/// `content_fingerprint()`.
+fn replayed_fingerprint(db: aggchecker::relational::Database, text: &str) -> String {
+    use aggchecker::core::evaluate::document_literal_union;
+    use aggchecker::core::matching::{match_claim_with_form, ClaimScores};
+    use aggchecker::core::model::{m_step, score_claim, ClaimDistribution};
+    use aggchecker::core::scope::pick_scope;
+    use aggchecker::core::{
+        claim_keywords, matches_claim, Candidate, CandidateSet, CatalogConfig, EvalStats,
+        Evaluator, FragmentCatalog, ResultsMatrix, RunStats, TaskBundling, Theta,
+    };
+    use aggchecker::nlp::claims::detect_claims;
+    use aggchecker::nlp::structure::parse_document;
+    use aggchecker::nlp::synonyms::SynonymDict;
+    use aggchecker::relational::{CostModel, EvalCache};
+    use aggchecker::{CheckedClaim, RankedQuery, ReportStatus, VerificationReport};
+    use std::sync::Arc;
+
+    let cfg = CheckerConfig::default();
+    let catalog = FragmentCatalog::build(&db, &CatalogConfig::default());
+    let cost = CostModel::new(&db);
+    let db = Arc::new(db);
+    let synonyms = SynonymDict::embedded();
+    let cache = EvalCache::new();
+
+    let doc = parse_document(text);
+    let claims = detect_claims(&doc, &cfg.claim_detector);
+    let scores: Vec<ClaimScores> = claims
+        .iter()
+        .map(|claim| {
+            let kws = claim_keywords(&doc, claim, &synonyms, &cfg.context, cfg.synonym_weight);
+            match_claim_with_form(&catalog, &kws, cfg.lucene_hits, claim.number.is_percentage)
+        })
+        .collect();
+
+    let mut theta = Theta::uniform(
+        catalog.functions.len(),
+        catalog.agg_columns.len(),
+        catalog.predicate_columns.len(),
+    );
+    let mut em_iterations = 0usize;
+    let mut eval_stats = EvalStats::default();
+    let mut final_state: Vec<(CandidateSet, ResultsMatrix, ClaimDistribution)> = Vec::new();
+    for _ in 0..cfg.max_em_iterations {
+        em_iterations += 1;
+        let candidate_sets: Vec<CandidateSet> = scores
+            .iter()
+            .map(|s| {
+                let scope = pick_scope(
+                    &catalog,
+                    s,
+                    Some(&theta),
+                    &cost,
+                    db.total_rows(),
+                    &cfg.scope,
+                );
+                CandidateSet::enumerate(
+                    &catalog,
+                    &scope,
+                    cfg.max_predicates,
+                    cfg.max_combos_per_claim,
+                )
+            })
+            .collect();
+
+        let mut evaluator = Evaluator::new(&db, &catalog, Some(cache.clone()));
+        evaluator.set_threads(cfg.threads);
+        evaluator.set_bundling(TaskBundling::Wave);
+        evaluator.set_fusion(cfg.fuse_scans);
+        evaluator.set_partition_blocks(cfg.partition_blocks);
+        evaluator.set_document_literals(document_literal_union(
+            catalog.predicate_columns.len(),
+            candidate_sets
+                .iter()
+                .flat_map(|set| set.combos.iter())
+                .flat_map(|combo| combo.iter().map(|(c, l)| (*c as usize, *l as usize))),
+        ));
+        let results = evaluator.evaluate_all(&candidate_sets).unwrap();
+        eval_stats.merge(&evaluator.stats);
+
+        let distributions: Vec<ClaimDistribution> = (0..claims.len())
+            .map(|i| {
+                score_claim(
+                    &catalog,
+                    &scores[i],
+                    &candidate_sets[i],
+                    &results[i],
+                    Some(&theta),
+                    &claims[i].number,
+                    &cfg,
+                )
+            })
+            .collect();
+        let ml: Vec<(Option<Candidate>, &CandidateSet)> = distributions
+            .iter()
+            .zip(&candidate_sets)
+            .map(|(d, set)| (d.ml(), set))
+            .collect();
+        let new_theta = m_step(&catalog, &ml, cfg.prior_smoothing);
+        let converged = theta.max_change(&new_theta) < cfg.em_epsilon;
+        theta = new_theta;
+
+        final_state = candidate_sets
+            .into_iter()
+            .zip(results)
+            .zip(distributions)
+            .map(|((set, res), dist)| (set, res, dist))
+            .collect();
+        if converged {
+            break;
+        }
+    }
+
+    let checked: Vec<CheckedClaim> = claims
+        .iter()
+        .zip(&final_state)
+        .map(|(claim, (set, results, dist))| {
+            let sentence = doc
+                .section(&claim.section)
+                .and_then(|s| s.paragraphs.get(claim.paragraph))
+                .and_then(|p| p.sentences.get(claim.sentence))
+                .map(|s| s.text.clone())
+                .unwrap_or_default();
+            let top_queries: Vec<RankedQuery> = dist
+                .top
+                .iter()
+                .map(|(cand, prob)| {
+                    let query = set.to_query(&catalog, *cand);
+                    let result = results.get(cand.combo as usize, cand.pair as usize);
+                    RankedQuery {
+                        description: query.describe(&db),
+                        matches: result.is_some_and(|r| matches_claim(r, &claim.number)),
+                        query,
+                        probability: *prob,
+                        result,
+                    }
+                })
+                .collect();
+            let verdict = match top_queries.first() {
+                None => Verdict::Unverifiable,
+                Some(ml) if ml.matches => Verdict::Correct,
+                Some(_) => Verdict::Erroneous,
+            };
+            CheckedClaim {
+                mention: claim.clone(),
+                sentence,
+                claimed_value: claim.number.value,
+                top_queries,
+                correctness_probability: dist.correctness,
+                verdict,
+            }
+        })
+        .collect();
+    VerificationReport {
+        claims: checked,
+        stats: RunStats {
+            claims: claims.len(),
+            em_iterations,
+            candidates_evaluated: eval_stats.candidates_evaluated,
+            ..RunStats::default()
+        },
+        status: ReportStatus::Complete,
+    }
+    .content_fingerprint()
+}
+
+/// The benchmark's traced run replays `check_text` layer by layer from
+/// public functions and fails every operation whose replayed fingerprint
+/// differs. The same composition is held to the golden fixtures here, so a
+/// public function that drifts from what the pipeline does inside — or a
+/// signature the replay can no longer call — fails `cargo test` before the
+/// external benchmark sees it.
+#[test]
+fn public_function_replay_matches_check_text_on_golden_reports() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden");
+    for (name, db, article) in golden_cases() {
+        let replayed = replayed_fingerprint(db.clone(), &article);
+        let checker = AggChecker::new(db, CheckerConfig::default()).unwrap();
+        let real = checker.check_text(&article).unwrap().content_fingerprint();
+        assert_eq!(replayed, real, "{name}: replay differs from check_text");
+        let golden = std::fs::read_to_string(dir.join(format!("{name}.fingerprint"))).unwrap();
+        assert_eq!(replayed, golden, "{name}: replay differs from the fixture");
+    }
+}
+
 #[test]
 fn experiments_registry_smoke() {
     use agg_bench::experiments::{run_experiment, ExpContext, Scale};

@@ -3,13 +3,18 @@
 //! * the cube operator agrees with naive query execution on arbitrary
 //!   data and predicate combinations (the merging correctness invariant
 //!   everything in §6 rests on);
-//! * rounding-aware matching is reflexive and respects its own rounding;
+//! * rounding-aware matching is reflexive and respects its own rounding, and
+//!   the per-claim interval matcher agrees with it on every input;
+//! * the evaluator's code-indexed demultiplexing agrees with naive execution
+//!   whatever slice serves a cube (canonical, document-wide fallback, a
+//!   wider slice another request published, a literal the slice lacks);
 //! * CSV parsing round-trips values;
 //! * the tokenizer produces byte-accurate, non-overlapping spans;
 //! * number rendering/parsing round-trips through the corpus generator's
 //!   conventions.
 
-use aggchecker::nlp::rounding::{matches_value, round_significant};
+use aggchecker::nlp::numbers::NumberMention;
+use aggchecker::nlp::rounding::{matches_claim, matches_value, round_significant, ClaimMatcher};
 use aggchecker::nlp::tokenize::tokenize;
 use aggchecker::relational::csv::{load_csv, parse_csv};
 use aggchecker::relational::{
@@ -81,8 +86,8 @@ proptest! {
         let cube = CubeQuery {
             dims: vec![cat, region],
             relevant: vec![
-                vec![Value::from(cat_names[cat_lit as usize])],
-                vec![Value::from(region_names[region_lit as usize])],
+                vec![Value::from(cat_names[cat_lit as usize])].into(),
+                vec![Value::from(region_names[region_lit as usize])].into(),
             ],
             aggregates: vec![
                 (AggFunction::Count, AggColumn::Star),
@@ -191,6 +196,93 @@ proptest! {
         prop_assert!(matches_value(once, twice, digits, 6) || once == 0.0);
     }
 
+    /// The per-claim matcher is `matches_claim` behind an interval test:
+    /// the two must agree on every result — around every rounding boundary
+    /// of the claim (exact `x.5` ties at each admissible precision, one ulp
+    /// either side), across magnitudes from 1e-12 to 1e15, and on NaN,
+    /// infinities, signed zeros, subnormals and arbitrary bit patterns.
+    #[test]
+    fn claim_matcher_agrees_with_matches_claim(
+        digits in 1u32..9,
+        lead in 0.0f64..1.0,
+        zeros in 0u32..8,
+        decimal_places in 0u32..13,
+        stated_digits in 0u32..9,
+        negative in any::<bool>(),
+        wild in prop::collection::vec(any::<u64>(), 8),
+    ) {
+        // A written number: `digits` digits of which the last `zeros` are
+        // zero ("1200", "0.05", "37"), shifted by its decimal places.
+        // Mostly it claims the significant digits it shows (`stated_digits`
+        // 0), sometimes any count from 1 to 8.
+        let zeros = zeros.min(digits - 1);
+        let unit = 10u64.pow(zeros);
+        let mantissa = (10f64.powi(digits as i32 - 1) * (1.0 + 9.0 * lead)) as u64 / unit * unit;
+        let significant_digits = if stated_digits == 0 { digits - zeros } else { stated_digits };
+        let sign = if negative { -1.0 } else { 1.0 };
+        let value = sign * mantissa as f64 / 10f64.powi(decimal_places as i32);
+        let claim = NumberMention {
+            value,
+            token_start: 0,
+            token_end: 1,
+            significant_digits,
+            decimal_places,
+            is_percentage: false,
+            spelled_out: false,
+            had_separator: false,
+        };
+        let matcher = ClaimMatcher::new(&claim);
+
+        let mut results = vec![
+            value, -value, 0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY,
+            f64::MIN_POSITIVE, f64::MIN_POSITIVE / 2.0, -5e-324, f64::MAX, f64::MIN,
+        ];
+        for exp in -12..=15 {
+            results.push(sign * 10f64.powi(exp));
+            results.push(sign * 4.5 * 10f64.powi(exp));
+        }
+        // Ties and near-ties of every rounding the matcher admits: half a
+        // unit of the last decimal place, and half a unit of the last
+        // significant digit at the magnitudes just below, at and above the
+        // claim's own.
+        let mut half_units = vec![0.5 * 10f64.powi(-(decimal_places as i32))];
+        if value != 0.0 {
+            let magnitude = value.abs().log10().floor() as i32;
+            for m in magnitude - 1..=magnitude + 1 {
+                half_units.push(0.5 * 10f64.powi(m + 1 - significant_digits as i32));
+            }
+        }
+        for half in half_units {
+            for tie in [value - half, value + half] {
+                results.extend([tie, next_after(tie, true), next_after(tie, false)]);
+            }
+            for scale in [0.25, 0.999, 1.001, 2.0, 10.0] {
+                results.extend([value - half * scale, value + half * scale]);
+            }
+        }
+        for factor in [0.4, 0.5, 0.6, 0.9, 0.95, 1.05, 1.1, 1.5, 1.9, 2.0, 2.1] {
+            results.push(value * factor);
+        }
+        results.extend(wild.iter().map(|bits| f64::from_bits(*bits)));
+
+        for r in results {
+            prop_assert_eq!(
+                matcher.matches(r),
+                matches_claim(r, &claim),
+                "result {:e} vs claim {} ({} s.d., {} d.p.)",
+                r, value, significant_digits, decimal_places
+            );
+        }
+        // A claim that is not a finite number matches nothing.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let claim = NumberMention { value: bad, ..claim.clone() };
+            let matcher = ClaimMatcher::new(&claim);
+            for r in [bad, 0.0, 1.0, value] {
+                prop_assert_eq!(matcher.matches(r), matches_claim(r, &claim));
+            }
+        }
+    }
+
     // -----------------------------------------------------------------------
     // CSV
     // -----------------------------------------------------------------------
@@ -268,6 +360,168 @@ proptest! {
             aggchecker::nlp::numbers::parse_number_mentions(&tokenize(&text));
         prop_assert_eq!(mentions.len(), 1);
         prop_assert_eq!(mentions[0].value, n as f64);
+    }
+}
+
+/// The neighbouring float above (`up`) or below a finite value.
+fn next_after(x: f64, up: bool) -> f64 {
+    if x == 0.0 {
+        return if up { 5e-324 } else { -5e-324 };
+    }
+    let bits = x.to_bits();
+    f64::from_bits(if (x > 0.0) == up { bits + 1 } else { bits - 1 })
+}
+
+// ---------------------------------------------------------------------------
+// Coded demux ≡ naive execution
+// ---------------------------------------------------------------------------
+
+/// A table with one column too wide to canonicalize into a cube dimension
+/// (300 distinct values against the 253-literal cap), two narrow categorical
+/// columns and a nullable numeric one.
+fn wide_db(wides: &[u16], cats: &[u8], regions: &[u8], nums: &[Option<i64>]) -> Database {
+    use aggchecker::relational::{ColumnMeta, DataType, TableSchema};
+    let mut table = Table::new(TableSchema::new(
+        "t",
+        vec![
+            ColumnMeta::new("wide", DataType::Str),
+            ColumnMeta::new("cat", DataType::Str),
+            ColumnMeta::new("region", DataType::Str),
+            ColumnMeta::new("num", DataType::Int),
+        ],
+    ));
+    // Every wide value occurs at least once, then the generated rows.
+    let rows = (0..300u16).chain(wides.iter().copied()).enumerate();
+    for (i, wide) in rows {
+        let j = i % cats.len();
+        table
+            .push_row(&[
+                Value::Str(format!("w{wide}")),
+                Value::Str(["alpha", "beta", "gamma", "delta"][cats[j] as usize].into()),
+                Value::Str(["north", "south", "east"][regions[j] as usize].into()),
+                nums[j].map(Value::Int).unwrap_or(Value::Null),
+            ])
+            .unwrap();
+    }
+    let mut db = Database::new("wide");
+    db.add_table(table);
+    db
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// `Evaluator::evaluate` reads every candidate through literal codes
+    /// resolved once per cube. Whatever slice ends up serving a cube — one
+    /// built over the claim's own literals, over a document-wide fallback
+    /// list (the wide column: slice list ≠ catalog list), or a wider slice
+    /// an earlier request published (nested coverage, and two non-nested
+    /// slices resident under one key) — every valid candidate over one to
+    /// three predicate columns must equal its own naive query. A wide
+    /// literal the document-wide list leaves out reads NULL, as a coverage
+    /// miss always has.
+    #[test]
+    fn coded_demux_agrees_with_naive_execution(
+        wides in prop::collection::vec(0u16..300, 20..60),
+        cats in prop::collection::vec(0u8..4, 20..60),
+        regions in prop::collection::vec(0u8..3, 20..60),
+        nums in prop::collection::vec(prop::option::of(-100i64..100), 20..60),
+        scoped_wide in prop::collection::vec(0usize..300, 2..4),
+        extra in prop::collection::vec(0usize..300, 6),
+    ) {
+        use aggchecker::core::evaluate::evaluate_naive;
+        use aggchecker::core::{
+            Candidate, CandidateSet, CatalogConfig, EvalStats, Evaluator, FragmentCatalog, Scope,
+        };
+        use aggchecker::relational::EvalCache;
+        use std::sync::Arc;
+
+        let n = cats.len().min(regions.len()).min(nums.len());
+        let db = Arc::new(wide_db(&wides, &cats[..n], &regions[..n], &nums[..n]));
+        let cat = FragmentCatalog::build(&db, &CatalogConfig::default());
+        let col = |name: &str| {
+            let target = db.resolve("t", name).unwrap();
+            cat.predicate_columns.iter().position(|c| *c == target).unwrap()
+        };
+        let (wide, category, region) = (col("wide"), col("cat"), col("region"));
+        prop_assert!(cat.literals[wide].len() == 300, "the wide column must overflow a dimension");
+
+        let mut scoped_wide = scoped_wide.clone();
+        scoped_wide.sort_unstable();
+        scoped_wide.dedup();
+        let mut pairs: Vec<(usize, usize)> = scoped_wide.iter().map(|&l| (wide, l)).collect();
+        pairs.extend([(category, 0), (category, 1), (region, 0), (region, 1)]);
+        let scope = Scope {
+            agg_columns: (0..cat.agg_columns.len()).collect(),
+            predicate_pairs: pairs,
+        };
+        let set = CandidateSet::enumerate(&cat, &scope, 3, 10_000);
+        prop_assert!(set.combos.iter().any(|c| c.len() == 3));
+        let naive = evaluate_naive(&db, &cat, &set, &mut EvalStats::default()).unwrap();
+
+        // One evaluation with `declared` as the wide column's document-wide
+        // literals (`None`: nothing declared), checked cell by cell.
+        let check = |cache: &EvalCache, declared: Option<&[usize]>, what: &str| {
+            let mut evaluator = Evaluator::new(&db, &cat, Some(cache.clone()));
+            if let Some(declared) = declared {
+                let mut literals = vec![Vec::new(); cat.predicate_columns.len()];
+                literals[wide] = declared.to_vec();
+                literals[wide].sort_unstable();
+                literals[wide].dedup();
+                evaluator.set_document_literals(literals);
+            }
+            let merged = evaluator.evaluate(&set).unwrap();
+            for (ci, combo) in set.combos.iter().enumerate() {
+                let covered = combo.iter().all(|&(c, l)| {
+                    c as usize != wide || declared.is_none_or(|d| d.contains(&(l as usize)))
+                });
+                for pi in 0..set.agg_pairs.len() {
+                    let cand = Candidate { combo: ci as u32, pair: pi as u32 };
+                    if !set.is_valid(&cat, cand) {
+                        continue;
+                    }
+                    let expected = if covered { naive.get(ci, pi) } else { None };
+                    if merged.get(ci, pi) != expected {
+                        return Err(format!(
+                            "{what}: {} read {:?}, expected {:?}",
+                            set.to_query(&cat, cand).to_sql(&db),
+                            merged.get(ci, pi),
+                            expected
+                        ));
+                    }
+                }
+            }
+            Ok(evaluator.stats)
+        };
+        let with = |more: &[usize]| -> Vec<usize> {
+            scoped_wide.iter().chain(more).copied().collect()
+        };
+
+        // Nothing declared: the cube is built over the claim's own literals.
+        let own = check(&EvalCache::new(), None, "claim's own literals");
+        prop_assert!(own.is_ok(), "{:?}", own);
+        // A scoped wide literal the document-wide list leaves out.
+        let partial = check(&EvalCache::new(), Some(&scoped_wide[1..]), "undeclared literal");
+        prop_assert!(partial.is_ok(), "{:?}", partial);
+
+        // One cache, changing document-wide lists.
+        let cache = EvalCache::new();
+        let first = check(&cache, Some(&with(&extra[..2])), "first list");
+        prop_assert!(first.is_ok(), "{:?}", first);
+        let wider = check(&cache, Some(&with(&extra[..4])), "superset list");
+        prop_assert!(wider.is_ok(), "{:?}", wider);
+        // A subset is served by the wider resident slices: nothing runs,
+        // and the slice's list is neither the request's nor the catalog's.
+        let nested = check(&cache, Some(&with(&[])), "subset served by a wider slice");
+        prop_assert!(nested.is_ok(), "{:?}", nested);
+        prop_assert_eq!(nested.unwrap().cubes_executed, 0);
+        // An overlapping list that neither covers nor is covered by the
+        // resident one is computed and coexists with it under the same keys.
+        let other = check(&cache, Some(&with(&extra[4..])), "overlapping list");
+        prop_assert!(other.is_ok(), "{:?}", other);
+        let again = check(&cache, Some(&with(&[])), "subset with two slices resident");
+        prop_assert!(again.is_ok(), "{:?}", again);
+        prop_assert_eq!(again.unwrap().cubes_executed, 0);
     }
 }
 
