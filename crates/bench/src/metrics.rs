@@ -120,8 +120,7 @@ pub fn pct(x: f64) -> String {
 /// (median-time) run** — payloads such as rows-scanned counts can be
 /// nondeterministic across runs (e.g. racing batch workers duplicating a
 /// cube execution), so pairing one run's payload with another run's time
-/// would misstate derived rates. Shared by the `bench_cube` and
-/// `bench_pipeline` bins so their medians stay comparable.
+/// would misstate derived rates. Used by the `bench_cube` bin.
 pub fn median_timed_ns<T, F: FnMut() -> T>(samples: usize, mut f: F) -> (u64, T) {
     f(); // warmup
     let mut runs: Vec<(u64, T)> = (0..samples.max(1))

@@ -1,25 +1,26 @@
-//! Seeded chaos matrix runner for the CI robustness gate.
+//! Seeded chaos matrix: the CI robustness check.
 //!
 //! Runs the same fault matrix as `tests/chaos.rs` — injected scan panics,
 //! scan delays, single-flight poisoning, and wave-guard drops, across
-//! worker pools of 1/2/4/8 — and emits one JSON record per cell to
+//! worker pools of 1/2/4/8 — emits one JSON record per cell to
 //! `target/CHAOS_matrix.json` (same `"variants"` array shape as the
-//! benchmark files, so `xtask chaos-gate` reuses the scanner; the
-//! artifact lives under `target/` so it never clutters the repo root):
+//! benchmark files; under `target/` so it never clutters the repo root),
+//! then judges the records itself:
 //!
 //! ```text
 //! cargo run --release --example chaos_matrix
-//! cargo run -p xtask -- chaos-gate --file target/CHAOS_matrix.json
 //! ```
 //!
-//! The gate fails on any unsettled ticket, any dangling in-flight cache
-//! entry after drain, any outcome-bin accounting mismatch, or a respawn
-//! count past the budget. A watchdog thread turns a hang into exit code 3
-//! instead of a stuck CI job.
+//! It exits 1 on any unsettled ticket, any dangling in-flight cache entry
+//! after drain, any outcome-bin accounting mismatch, or a respawn count
+//! past the budget ([`violations`]). The plans are seeded, so a failure is
+//! a real robustness regression, never runner noise. A watchdog thread
+//! turns a hang into exit code 3 instead of a stuck CI job.
 
 use aggchecker::core::CheckerError;
 use aggchecker::relational::chaos::{self, FaultPlan};
 use aggchecker::{CheckerConfig, IntakePolicy, StreamConfig, StreamingVerifier, SubmitError};
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 const ARTICLE: &str = r#"
@@ -49,8 +50,39 @@ struct CellRecord {
     injected: u64,
 }
 
+/// The robustness invariants `r` breaks, one line each; empty means the
+/// cell settled cleanly.
+fn violations(r: &CellRecord) -> Vec<String> {
+    let mut out = Vec::new();
+    if r.unsettled != 0 {
+        out.push(format!(
+            "{}: {} ticket(s) never settled",
+            r.name, r.unsettled
+        ));
+    }
+    if r.inflight_len != 0 {
+        out.push(format!(
+            "{}: {} in-flight cache entr(ies) dangling after drain",
+            r.name, r.inflight_len
+        ));
+    }
+    if !r.bins_ok {
+        out.push(format!(
+            "{}: outcome bins do not reconcile (submitted != settled)",
+            r.name
+        ));
+    }
+    if r.respawns > MAX_RESPAWNS as u64 {
+        out.push(format!(
+            "{}: {} respawns exceed the budget of {MAX_RESPAWNS}",
+            r.name, r.respawns
+        ));
+    }
+    out
+}
+
 /// Run one matrix cell and report its invariant-relevant counters.
-/// Never panics on a fault outcome — judging is the gate's job.
+/// Never panics on a fault outcome — judging is [`violations`]' job.
 /// `texts[i % texts.len()]` is submitted as document `i`, against `db`
 /// under `cfg` — the partition cells swap in a multi-partition corpus.
 fn run_cell(
@@ -137,7 +169,7 @@ fn run_cell(
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     // Injected panics are expected by the hundreds — keep them out of the
     // CI log. Anything else still prints through the default hook.
     let default_hook = std::panic::take_hook();
@@ -330,8 +362,62 @@ fn main() {
     // may point CARGO_TARGET_DIR elsewhere — create the plain dir anyway.
     std::fs::create_dir_all("target").expect("create target/");
     std::fs::write("target/CHAOS_matrix.json", &json).expect("write target/CHAOS_matrix.json");
-    println!(
-        "wrote target/CHAOS_matrix.json ({} cells) — judge with `cargo run -p xtask -- chaos-gate`",
-        records.len()
-    );
+    let violations: Vec<String> = records.iter().flat_map(violations).collect();
+    for v in &violations {
+        eprintln!("chaos_matrix FAIL: {v}");
+    }
+    if violations.is_empty() {
+        println!(
+            "wrote target/CHAOS_matrix.json: all {} cells settled cleanly",
+            records.len()
+        );
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One seeded mutation per violation class: exactly the named
+    /// violation is reported and nothing else.
+    #[test]
+    fn violations_names_exactly_the_broken_invariant() {
+        type Mutation = fn(&mut CellRecord);
+        let table: &[(Mutation, Option<&str>)] = &[
+            (|_| {}, None),
+            // Spending the whole respawn budget is still inside it.
+            (|r| r.respawns = MAX_RESPAWNS as u64, None),
+            (|r| r.unsettled = 1, Some("1 ticket(s) never settled")),
+            (
+                |r| r.inflight_len = 3,
+                Some("3 in-flight cache entr(ies) dangling"),
+            ),
+            (|r| r.bins_ok = false, Some("do not reconcile")),
+            (
+                |r| r.respawns = 7,
+                Some("7 respawns exceed the budget of 6"),
+            ),
+        ];
+        for (i, (mutate, expected)) in table.iter().enumerate() {
+            let mut record = CellRecord {
+                name: "combined_8w".into(),
+                workers: 8,
+                unsettled: 0,
+                inflight_len: 0,
+                bins_ok: true,
+                respawns: 2,
+                stats: aggchecker::StreamStats::default(),
+                injected: 40,
+            };
+            mutate(&mut record);
+            let got = violations(&record);
+            assert_eq!(got.len(), expected.iter().len(), "row {i}: {got:?}");
+            for (line, needle) in got.iter().zip(expected) {
+                assert!(line.contains(needle), "row {i}: {line:?} lacks {needle:?}");
+            }
+        }
+    }
 }
