@@ -223,20 +223,31 @@ fn golden_cases() -> Vec<(&'static str, aggchecker::relational::Database, String
 /// verdict, a ranking, a probability, or a query description fails loudly
 /// with a named corpus instead of silently drifting. Regenerate
 /// intentionally with `UPDATE_GOLDEN=1 cargo test golden_reports`.
+///
+/// `generated_solo` pins the paper's deployment shape on generated data:
+/// one digest over [`generated_solo_fingerprints`]. The hand-built corpora
+/// carry few `CountDistinct`/`Median` cubes; these articles carry many, so
+/// a drift in how cubes are finished fails here too.
 #[test]
 fn golden_reports_match_fixtures() {
     let update = std::env::var_os("UPDATE_GOLDEN").is_some();
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden");
-    for (name, db, article) in golden_cases() {
-        let checker = AggChecker::new(db, CheckerConfig::default()).unwrap();
-        let report = checker.check_text(&article).unwrap();
-        assert!(
-            !report.claims.is_empty(),
-            "{name}: a golden corpus must contain claims"
-        );
-        let fingerprint = report.content_fingerprint();
+    let mut pinned: Vec<(&str, String)> = golden_cases()
+        .into_iter()
+        .map(|(name, db, article)| {
+            let checker = AggChecker::new(db, CheckerConfig::default()).unwrap();
+            let report = checker.check_text(&article).unwrap();
+            assert!(
+                !report.claims.is_empty(),
+                "{name}: a golden corpus must contain claims"
+            );
+            (name, report.content_fingerprint())
+        })
+        .collect();
+    pinned.push(("generated_solo", digest(&generated_solo_fingerprints())));
+    for (name, fingerprint) in pinned {
         let path = dir.join(format!("{name}.fingerprint"));
         if update {
             std::fs::create_dir_all(&dir).unwrap();
@@ -257,6 +268,53 @@ fn golden_reports_match_fixtures() {
              UPDATE_GOLDEN=1 cargo test golden_reports"
         );
     }
+}
+
+/// The first 24 articles of the paper's deployment as the benchmark's
+/// `paper_solo` lays it out (every 13th a two-table join case, 8 claims
+/// each, table sizes on a fixed 60–600-row ladder), generated at
+/// `CorpusSpec::default().seed` and each verified by a fresh checker over
+/// its own database. Returns each report's `content_fingerprint()`.
+fn generated_solo_fingerprints() -> Vec<String> {
+    const LADDER: usize = 150;
+    let base = CorpusSpec::default();
+    (0..24)
+        .map(|i| {
+            let rows =
+                base.min_rows + (i * 37 % LADDER) * (base.max_rows - base.min_rows) / (LADDER - 1);
+            let spec = CorpusSpec {
+                n_articles: LADDER,
+                min_rows: rows,
+                max_rows: rows,
+                min_claims: 8,
+                max_claims: 8,
+                ..base.clone()
+            };
+            let case = if i % 13 == 4 {
+                aggchecker::corpus::generate_join_case(&spec, i)
+            } else {
+                aggchecker::corpus::generate_test_case(&spec, i)
+            };
+            let checker = AggChecker::new(case.db, CheckerConfig::default()).unwrap();
+            checker
+                .check_text(&case.article_html)
+                .unwrap()
+                .content_fingerprint()
+        })
+        .collect()
+}
+
+/// FNV-1a over the fingerprints, each terminated by a newline, as 16 hex
+/// digits.
+fn digest(fingerprints: &[String]) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for fp in fingerprints {
+        for b in fp.bytes().chain(std::iter::once(b'\n')) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    format!("{h:016x}")
 }
 
 /// The golden corpora stream bit-identically too: the fixtures pin not
