@@ -31,16 +31,20 @@
 //!   cell-by-cell comparison of the two result grids.
 //!
 //! A third family, `partitioned_1t/2t/4t` (the `"partitioned"` array),
-//! runs the full workload over the same 1M-row clustered corpus through the
-//! production fan-out: `run_wave` with 1/2/4 workers stealing the pass's
-//! partition subtasks at the default fixed-partition span (64 blocks ≈ 128k
-//! rows). Partition boundaries are a pure function of row count — never of
-//! worker count — and the partition grids fold in ascending order, so every
-//! variant's result grid is **bit-identical**; each entry carries a
-//! `fingerprint` over every addressable cell, plus
-//! `partitions_scanned`/`partition_merges`, and the run is cross-checked
-//! against an in-process partition-span-1 execution
-//! (`partition_size1_fingerprint`).
+//! runs the full workload fused with a set/list member (`CountDistinct` +
+//! `Median` of the amount column over the same dimensions) over the same
+//! 1M-row clustered corpus through the production fan-out: `run_wave` with
+//! 1/2/4 workers stealing the pass's partition subtasks at the default
+//! fixed-partition span (64 blocks ≈ 128k rows). Partition boundaries are a
+//! pure function of row count — never of worker count — and the partition
+//! grids fold in ascending order, so every variant's result grids are
+//! **bit-identical**; each entry carries a `fingerprint` over every
+//! addressable cell of the full workload and a `set_list_fingerprint` over
+//! the set/list member's, plus `partitions_scanned`/`partition_merges`, and
+//! the run is cross-checked against an in-process partition-span-1
+//! execution (`partition_size1_fingerprint`,
+//! `partition_size1_set_list_fingerprint`). The encoded≡plain comparison
+//! covers the set/list member too.
 //!
 //! Every timed variant carries `threads_requested`, `threads_used` (for the
 //! partitioned family: the distinct workers that actually scanned a
@@ -59,8 +63,9 @@
 
 use agg_bench::metrics::median_timed_ns;
 use agg_relational::{
-    run_wave, Accumulator, AggColumn, AggFunction, CubeOptions, CubeQuery, CubeResult, CubeTask,
-    Database, DimSel, GridMode, JoinedRelation, ScanGroup, Table, Value, BLOCK_ROWS,
+    execute_fused_in, run_wave, Accumulator, AggColumn, AggFunction, CubeOptions, CubeQuery,
+    CubeResult, CubeTask, Database, DimSel, GridMode, JoinedRelation, ScanGroup, Table, Value,
+    BLOCK_ROWS,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -145,6 +150,21 @@ fn workload(db: &Database) -> CubeQuery {
             (AggFunction::Count, AggColumn::Star),
             (AggFunction::Sum, AggColumn::Column(amount)),
         ],
+    }
+}
+
+/// The full workload's dimensions with the set- and list-valued
+/// aggregates, whose results are finished from each group's contributors
+/// rather than merged: fused into the partitioned passes so their
+/// determinism is judged at every worker count.
+fn set_list_workload(db: &Database) -> CubeQuery {
+    let amount = db.resolve("facts", "amount").unwrap();
+    CubeQuery {
+        aggregates: vec![
+            (AggFunction::CountDistinct, AggColumn::Column(amount)),
+            (AggFunction::Median, AggColumn::Column(amount)),
+        ],
+        ..workload(db)
     }
 }
 
@@ -307,6 +327,8 @@ struct PartVariant {
     partition_merges: u64,
     partition_parallelism: u32,
     fingerprint: u64,
+    /// [`grid_fingerprint`] of the fused set/list member.
+    set_list_fingerprint: u64,
 }
 
 /// Slowest the encoded full scan may run relative to the plain in-RAM scan
@@ -319,8 +341,9 @@ fn violations(
     encoded_matches_plain: bool,
     block_variants: &[BlockVariant],
     part_variants: &[PartVariant],
-    size1_fingerprint: u64,
+    size1_fingerprints: (u64, u64),
 ) -> Vec<String> {
+    let (size1_fingerprint, size1_set_list) = size1_fingerprints;
     let mut out = Vec::new();
     let block = |name: &str| {
         let v = block_variants.iter().find(|v| v.name == name);
@@ -362,6 +385,12 @@ fn violations(
             out.push(format!(
                 "{}: fingerprint {:016x} diverges from the span-1 control's {size1_fingerprint:016x}",
                 v.name, v.fingerprint
+            ));
+        } else if v.set_list_fingerprint != size1_set_list {
+            out.push(format!(
+                "{}: set/list fingerprint {:016x} diverges from the span-1 control's \
+                 {size1_set_list:016x}",
+                v.name, v.set_list_fingerprint
             ));
         }
     }
@@ -518,9 +547,10 @@ fn main() -> ExitCode {
 
     let selective = selective_workload(&block_db);
     let full = workload(&block_db);
+    let set_list = set_list_workload(&block_db);
 
     // Exhaustive cell-by-cell comparison of the encoded and plain result
-    // grids over both workloads.
+    // grids over every workload.
     let mut encoded_matches_plain = true;
     {
         let enc = full.execute(&block_db).unwrap();
@@ -536,6 +566,8 @@ fn main() -> ExitCode {
         for ci in [DimSel::Literal(0), DimSel::Any] {
             encoded_matches_plain &= enc.get_count(&[ci], 0) == pla.get_count(&[ci], 0);
         }
+        encoded_matches_plain &= grid_fingerprint(&set_list, &set_list.execute(&block_db).unwrap())
+            == grid_fingerprint(&set_list, &set_list.execute(&plain_db).unwrap());
     }
 
     let block_variants = [
@@ -574,12 +606,16 @@ fn main() -> ExitCode {
     // grids fold in ascending order, so the production fan-out at 1/2/4
     // workers — and an in-process partition-span-1 run with one partition
     // per storage block — must all produce bit-identical result grids.
-    let size1_fingerprint = {
+    let size1_fingerprints = {
         let span1 = CubeOptions {
             partition_blocks: 1,
             ..CubeOptions::default()
         };
-        grid_fingerprint(&full, &full.execute_with(&block_db, &span1).unwrap())
+        let r = execute_fused_in(&block_db, &[&full, &set_list], &span1, None).unwrap();
+        (
+            grid_fingerprint(&full, &r[0]),
+            grid_fingerprint(&set_list, &r[1]),
+        )
     };
     let part_variants: Vec<PartVariant> = [1usize, 2, 4]
         .iter()
@@ -589,37 +625,28 @@ fn main() -> ExitCode {
                 2 => "partitioned_2t",
                 _ => "partitioned_4t",
             };
-            let (median_ns, payload) = median_timed_ns(samples, || {
-                let (task, handle) = CubeTask::new(full.clone(), Vec::new());
-                let groups = ScanGroup::fuse(vec![task]);
-                run_wave(
-                    &block_db,
-                    None,
-                    groups,
-                    std::slice::from_ref(&handle),
-                    threads,
-                );
-                let r = handle.into_result().unwrap();
-                (
-                    r.stats.rows_scanned,
-                    r.stats.partitions_scanned,
-                    r.stats.partition_merges,
-                    r.stats.partition_parallelism,
-                    grid_fingerprint(&full, &r),
-                )
+            let (median_ns, (r, set_list_fingerprint)) = median_timed_ns(samples, || {
+                let (tasks, handles): (Vec<_>, Vec<_>) = [&full, &set_list]
+                    .iter()
+                    .map(|cube| CubeTask::new((*cube).clone(), Vec::new()))
+                    .unzip();
+                run_wave(&block_db, None, ScanGroup::fuse(tasks), &handles, threads);
+                let mut results = handles.into_iter().map(|h| h.into_result().unwrap());
+                let r = results.next().expect("the full workload's result");
+                let set_list_result = results.next().expect("the set/list member's result");
+                (r, grid_fingerprint(&set_list, &set_list_result))
             });
-            let (rows_scanned, partitions_scanned, partition_merges, parallelism, fingerprint) =
-                payload;
             PartVariant {
                 name,
                 threads_requested: threads as u32,
                 median_ns,
                 rows_per_sec: block_rows as f64 / (median_ns as f64 / 1e9),
-                rows_scanned,
-                partitions_scanned,
-                partition_merges,
-                partition_parallelism: parallelism,
-                fingerprint,
+                rows_scanned: r.stats.rows_scanned,
+                partitions_scanned: r.stats.partitions_scanned,
+                partition_merges: r.stats.partition_merges,
+                partition_parallelism: r.stats.partition_parallelism,
+                fingerprint: grid_fingerprint(&full, &r),
+                set_list_fingerprint,
             }
         })
         .collect();
@@ -629,11 +656,11 @@ fn main() -> ExitCode {
         encoded_matches_plain,
         &block_variants,
         &part_variants,
-        size1_fingerprint,
+        size1_fingerprints,
     );
     let partition_fingerprints_match = part_variants
         .iter()
-        .all(|v| v.fingerprint == size1_fingerprint);
+        .all(|v| (v.fingerprint, v.set_list_fingerprint) == size1_fingerprints);
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -696,7 +723,7 @@ fn main() -> ExitCode {
     json.push_str("  \"partitioned\": [\n");
     for (i, v) in part_variants.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"threads_requested\": {}, \"threads_used\": {}, \"effective_parallelism\": {:.2}, \"median_ns\": {}, \"rows_per_sec\": {:.0}, \"rows_scanned\": {}, \"partitions_scanned\": {}, \"partition_merges\": {}, \"partition_parallelism\": {}, \"fingerprint\": \"{:016x}\"}}{}\n",
+            "    {{\"name\": \"{}\", \"threads_requested\": {}, \"threads_used\": {}, \"effective_parallelism\": {:.2}, \"median_ns\": {}, \"rows_per_sec\": {:.0}, \"rows_scanned\": {}, \"partitions_scanned\": {}, \"partition_merges\": {}, \"partition_parallelism\": {}, \"fingerprint\": \"{:016x}\", \"set_list_fingerprint\": \"{:016x}\"}}{}\n",
             v.name,
             v.threads_requested,
             v.partition_parallelism,
@@ -708,12 +735,18 @@ fn main() -> ExitCode {
             v.partition_merges,
             v.partition_parallelism,
             v.fingerprint,
+            v.set_list_fingerprint,
             if i + 1 < part_variants.len() { "," } else { "" }
         ));
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"partition_size1_fingerprint\": \"{size1_fingerprint:016x}\",\n"
+        "  \"partition_size1_fingerprint\": \"{:016x}\",\n",
+        size1_fingerprints.0
+    ));
+    json.push_str(&format!(
+        "  \"partition_size1_set_list_fingerprint\": \"{:016x}\",\n",
+        size1_fingerprints.1
     ));
     json.push_str(&format!(
         "  \"partition_fingerprints_match\": {}\n",
@@ -744,6 +777,7 @@ mod tests {
     use super::*;
 
     const FINGERPRINT: u64 = 0x3dbb_1a56_6534_ac55;
+    const SET_LIST_FINGERPRINT: u64 = 0x5e71_15d1_f1e2_d4a7;
 
     /// The committed `BENCH_cube.json`'s judged numbers.
     fn clean() -> (Vec<BlockVariant>, Vec<PartVariant>) {
@@ -769,6 +803,7 @@ mod tests {
             partition_merges: 7,
             partition_parallelism: threads_requested.min(2),
             fingerprint: FINGERPRINT,
+            set_list_fingerprint: SET_LIST_FINGERPRINT,
         };
         let blocks = vec![
             block("encoded_selective_1t", 7.7e10, 1, 488),
@@ -808,11 +843,20 @@ mod tests {
                 |_, _, p| p[0].fingerprint ^= 1,
                 Some("partitioned_1t: fingerprint 3dbb1a566534ac54"),
             ),
+            (
+                |_, _, p| p[2].set_list_fingerprint ^= 1,
+                Some("partitioned_4t: set/list fingerprint 5e7115d1f1e2d4a6"),
+            ),
         ];
         for (i, (mutate, expected)) in table.iter().enumerate() {
             let (mut matches, (mut blocks, mut parts)) = (true, clean());
             mutate(&mut matches, &mut blocks, &mut parts);
-            let got = violations(matches, &blocks, &parts, FINGERPRINT);
+            let got = violations(
+                matches,
+                &blocks,
+                &parts,
+                (FINGERPRINT, SET_LIST_FINGERPRINT),
+            );
             assert_eq!(got.len(), expected.iter().len(), "row {i}: {got:?}");
             for (line, needle) in got.iter().zip(expected) {
                 assert!(line.contains(needle), "row {i}: {line:?} lacks {needle:?}");

@@ -50,9 +50,10 @@
 //!   latch: of N workers missing the same key concurrently, exactly one
 //!   executes the cube and the rest block for its published slice
 //!   ([`EvalStats::singleflight_waits`]). With [`TaskBundling::Canonical`]
-//!   (batch mode) the executed-scan set is fully order-independent, so
-//!   batched verification scans *exactly* as many rows as a sequential
-//!   run — the CI dedup gate asserts the equality;
+//!   (batch mode) the executed-task set is fully order-independent, so
+//!   batched verification executes *exactly* the cubes a sequential run
+//!   does — `bench_pipeline`'s `violations()` holds `tasks_executed`
+//!   equal at every worker count;
 //! * cube tasks scan sequentially — parallelism comes from running many
 //!   cubes at once — so f64 accumulation order, and therefore every
 //!   report, is bit-identical across worker counts. Dense accumulator

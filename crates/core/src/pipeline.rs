@@ -335,7 +335,8 @@ pub(crate) struct ExecContext<'e> {
     /// uses `Wave` (fewest tasks); batched verification uses `Canonical`
     /// at every worker count so its executed-task set — and therefore the
     /// fused pass structure and `rows_scanned` — is identical from 1
-    /// worker to N (the CI dedup gate). Bundling never changes results.
+    /// worker to N (`bench_pipeline`'s `violations()` holds
+    /// `tasks_executed` to it). Bundling never changes results.
     pub(crate) bundling: TaskBundling,
     /// Per-document abort control (streaming deadlines and cancellation).
     /// `None` for solo and batch runs, which always run to completion.
@@ -867,7 +868,8 @@ impl AggChecker {
 /// instead of reallocated), and all workers fill the same sharded cache —
 /// with **single-flight**, so N workers missing the same cube key execute
 /// it exactly once: total `rows_scanned` at any worker count equals the
-/// 1-worker run (the CI dedup gate asserts this).
+/// 1-worker run (the unit tests below pin it at 1/2/4/8 workers;
+/// `bench_pipeline`'s `violations()` holds `tasks_executed` to it).
 ///
 /// Reports match per-document [`AggChecker::check_document`] runs:
 /// batching changes scheduling and reuse, never verdicts or query
@@ -1369,7 +1371,8 @@ Three were for repeated substance abuse, one was for gambling.</p>
         assert_eq!(batch.checker().cache().stats().entries(), entries_before);
     }
 
-    /// The dedup invariant behind the CI gate, at unit-test scale: the
+    /// The dedup invariant `bench_pipeline`'s `violations()` checks at
+    /// bench scale, here at unit-test scale: the
     /// batched pipeline runs *exactly* as many fused scan passes — and
     /// therefore scans exactly as many rows — at any worker count as at
     /// one worker (single-flight + canonical cube scope + the atomic

@@ -46,8 +46,8 @@
 //! sequential scans inside every fused pass (each grid sees rows in
 //! relation order, so f64 accumulation sequences never vary), and
 //! single-flight publication (each cube key computed exactly once). The
-//! equivalence proptests and the CI `dedup-gate` (streaming variants)
-//! enforce it end to end. The one caveat is inherited from warm caches
+//! equivalence proptests and `bench_pipeline`'s `violations()` (its
+//! `stream_*` variants) enforce it end to end. The one caveat is inherited from warm caches
 //! generally: a float `Sum`/`Avg` served from a wider cached slice can
 //! differ in the last ulp from a cold evaluation; count-like and
 //! integer-exact aggregates — the paper's workload — are bit-identical.
@@ -451,8 +451,8 @@ impl Intake {
 
     /// Pop the next submission, round-robin across client lanes. With a
     /// single lane this is plain FIFO — the in-process `submit` path —
-    /// so the deterministic arrival order the dedup gates pin is
-    /// unchanged.
+    /// so the deterministic arrival order `bench_pipeline`'s streaming
+    /// variants rely on is unchanged.
     fn pop(&mut self) -> Option<Submission> {
         if self.lanes.is_empty() {
             return None;
@@ -574,7 +574,7 @@ impl DocGuard<'_> {
                     c.completed += 1;
                     // Throughput counters sum *completed* documents only,
                     // so they stay comparable against solo/batch runs of
-                    // the same corpus (the dedup gates).
+                    // the same corpus (`bench_pipeline`'s `violations()`).
                     c.absorb(&report.stats);
                 }
                 status => {
@@ -778,10 +778,10 @@ fn worker_loop(shared: &Shared) {
                 // would only oversubscribe the machine (same as batch
                 // workers).
                 threads: 1,
-                // Canonical bundling keeps the executed-scan set — and
-                // therefore `scan_passes`/`rows_scanned` — independent of
-                // worker count and arrival interleaving (the CI dedup
-                // gate's streaming variants).
+                // Canonical bundling keeps the executed-task set
+                // independent of worker count and arrival interleaving
+                // (`bench_pipeline`'s `violations()` holds
+                // `tasks_executed` equal across its streaming variants).
                 bundling: TaskBundling::Canonical,
                 ctrl: Some(&ctrl),
                 observer: observer.as_deref(),
@@ -1340,7 +1340,8 @@ Three were for repeated substance abuse, one was for gambling.</p>
     /// streamed reports are bit-identical to fresh solo runs, and the
     /// totals of `rows_scanned`/`scan_passes` are exactly worker-count
     /// independent (single-flight + canonical bundling + atomic wave
-    /// probes — the invariant the CI dedup gate checks at bench scale).
+    /// probes; at bench scale `bench_pipeline`'s `violations()` checks
+    /// `tasks_executed` exactly and the pass count within its bounds).
     #[test]
     fn streaming_single_flight_keeps_rows_and_passes_exact() {
         let db = nfl_db();

@@ -1,7 +1,7 @@
 //! Aggregate accumulators.
 //!
 //! [`Accumulator`] covers the value-based aggregates (`Count`,
-//! `CountDistinct`, `Sum`, `Avg`, `Min`, `Max`). The two ratio aggregates
+//! `CountDistinct`, `Sum`, `Avg`, `Min`, `Max`, `Median`). The two ratio aggregates
 //! (`Percentage`, `ConditionalProbability`) are *derived* from counts of row
 //! subsets — the executor and the cube operator compute them from `Count`
 //! results per footnote 1 of the paper.
@@ -136,21 +136,26 @@ impl Accumulator {
             Accumulator::Avg { sum, n } => (*n > 0).then_some(*sum / *n as f64),
             Accumulator::Min(m) => *m,
             Accumulator::Max(m) => *m,
-            Accumulator::Median(values) => {
-                if values.is_empty() {
-                    return None;
-                }
-                let mut sorted = values.clone();
-                sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-                let n = sorted.len();
-                Some(if n % 2 == 1 {
-                    sorted[n / 2]
-                } else {
-                    (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
-                })
-            }
+            Accumulator::Median(values) => median_in_place(&mut values.clone()),
         }
     }
+}
+
+/// The median of `values` under [`f64::total_cmp`], reordering the slice;
+/// `None` when it is empty. Values that compare equal under the total
+/// order are bit-identical, so the result is a function of the multiset
+/// alone — not of row or merge order, even for `±0.0` ties or NaN.
+pub(crate) fn median_in_place(values: &mut [f64]) -> Option<f64> {
+    let n = values.len();
+    if n == 0 {
+        return None;
+    }
+    let (below, &mut upper, _) = values.select_nth_unstable_by(n / 2, f64::total_cmp);
+    if n % 2 == 1 {
+        return Some(upper);
+    }
+    let lower = below.iter().copied().max_by(f64::total_cmp);
+    lower.map(|lower| (lower + upper) / 2.0)
 }
 
 /// Derive a ratio aggregate from counts (footnote 1 of the paper).
@@ -243,6 +248,31 @@ mod tests {
             left.merge(&right);
             assert_eq!(left.finish(), whole.finish(), "function {f}");
         }
+    }
+
+    #[test]
+    fn median_is_a_function_of_the_multiset() {
+        let median = |values: &[f64]| {
+            let mut acc = Accumulator::new(AggFunction::Median);
+            for v in values {
+                acc.update(Some(*v), None, true);
+            }
+            acc.finish().map(f64::to_bits)
+        };
+        assert_eq!(median(&[]), None);
+        assert_eq!(median(&[3.0, 1.0, 2.0]), Some(2.0f64.to_bits()));
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), Some(2.5f64.to_bits()));
+        // A ±0 tie: the total order puts -0.0 first, whatever the row order.
+        let zero = Some(0.0f64.to_bits());
+        assert_eq!(median(&[0.0, -0.0, 0.0]), zero);
+        assert_eq!(median(&[-0.0, 0.0, 0.0]), zero);
+        assert_eq!(median(&[0.0, 0.0, -0.0]), zero);
+        let neg = Some((-0.0f64).to_bits());
+        assert_eq!(median(&[-0.0, 0.0, -0.0]), neg);
+        assert_eq!(median(&[0.0, -0.0, -0.0]), neg);
+        // NaN sorts above every number, so it no longer scrambles the order.
+        assert_eq!(median(&[f64::NAN, 1.0, 5.0]), Some(5.0f64.to_bits()));
+        assert_eq!(median(&[5.0, f64::NAN, 1.0]), Some(5.0f64.to_bits()));
     }
 
     #[test]

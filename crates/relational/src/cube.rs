@@ -59,10 +59,17 @@
 //! the f64 accumulation tree — and therefore every report, down to the
 //! last ulp — is the same for a solo run, a fanned-out pass at any worker
 //! count and completion order, and a patched grid versus a cold rescan at
-//! the same watermark. The rollup into all `2^|dims|` dimension subsets is
-//! dimension-at-a-time — every group is merged into at most `|dims|`
-//! coarser groups, i.e. O(d · groups) merges with no intermediate clones
-//! (the seed implementation cloned every finest group `2^d − 1` times).
+//! the same watermark.
+//!
+//! Finishing is column-wise, with no per-group heap state: the finest
+//! groups are extracted once into one column per aggregate, the rollup
+//! into all `2^|dims|` dimension subsets is recorded once per cube as an
+//! ordered list of merges (`MergeOrder`, dimension-at-a-time, O(d ·
+//! groups) edges) and replayed on every mergeable column — the same f64
+//! operations in the same order as merging per-group accumulators — while
+//! each group's distinct count and median are computed once from its
+//! finest contributors. `docs/storage.md`, "Finishing a pass", gives the
+//! determinism argument.
 //!
 //! A pass feeds **many cubes' grids from one row scan**: the cubes of one
 //! scheduling wave that reference the same table scope share a single scan
@@ -96,7 +103,7 @@
 //! [`CubeStats::bytes_scanned`]. See `docs/storage.md` for the proof
 //! obligations and skip rules.
 
-use crate::aggregate::Accumulator;
+use crate::aggregate::{median_in_place, Accumulator};
 use crate::block::{CodeBlock, ColumnEncoding};
 use crate::database::{ColumnRef, Database};
 use crate::error::{RelationalError, Result};
@@ -337,7 +344,10 @@ pub struct CubeResult {
     dims: Vec<ColumnRef>,
     relevant: Vec<Literals>,
     n_aggs: usize,
-    groups: FxHashMap<GroupKey, Vec<Option<f64>>>,
+    /// Group key → the group's row of `values`.
+    index: FxHashMap<GroupKey, u32>,
+    /// `n_aggs` finished values per group, one row after another.
+    values: Vec<Option<f64>>,
     pub stats: CubeStats,
     /// Visible rows of the scanned relation when this result was computed
     /// — the watermark stamp delta-aware caching matches on. Differs from
@@ -536,6 +546,16 @@ fn update_accumulators(accs: &mut [Accumulator], agg_ctx: &[AggCtx<'_>], row: us
     }
 }
 
+/// Fold `v` into a running minimum (or maximum).
+#[inline]
+fn fold_extreme(e: &mut Option<f64>, v: f64, is_max: bool) {
+    *e = Some(match *e {
+        None => v,
+        Some(cur) if is_max => cur.max(v),
+        Some(cur) => cur.min(v),
+    });
+}
+
 fn new_accumulators(aggregates: &[(AggFunction, AggColumn)]) -> Vec<Accumulator> {
     aggregates
         .iter()
@@ -672,7 +692,6 @@ enum DenseAggState {
     SumAvg {
         sums: Vec<f64>,
         counts: Vec<u64>,
-        is_avg: bool,
     },
     MinMax {
         extremes: Vec<Option<f64>>,
@@ -704,7 +723,6 @@ impl DenseAggState {
                     Some(a) => a.take_counts(cells),
                     None => vec![0; cells],
                 },
-                is_avg: function == AggFunction::Avg,
             },
             AggFunction::Min | AggFunction::Max => DenseAggState::MinMax {
                 extremes: match arena {
@@ -757,7 +775,7 @@ impl DenseAggState {
                     }
                 }
             }
-            (DenseAggState::SumAvg { sums, counts, .. }, Some((res, col))) => {
+            (DenseAggState::SumAvg { sums, counts }, Some((res, col))) => {
                 for (k, &cell) in cells.iter().enumerate() {
                     if let Some(v) = col.get_f64(res.base_row(first_row + k)) {
                         sums[cell as usize] += v;
@@ -769,12 +787,7 @@ impl DenseAggState {
                 let is_max = *is_max;
                 for (k, &cell) in cells.iter().enumerate() {
                     if let Some(v) = col.get_f64(res.base_row(first_row + k)) {
-                        let e = &mut extremes[cell as usize];
-                        *e = Some(match *e {
-                            None => v,
-                            Some(cur) if is_max => cur.max(v),
-                            Some(cur) => cur.min(v),
-                        });
+                        fold_extreme(&mut extremes[cell as usize], v, is_max);
                     }
                 }
             }
@@ -803,11 +816,10 @@ impl DenseAggState {
                 }
             }
             (
-                DenseAggState::SumAvg { sums, counts, .. },
+                DenseAggState::SumAvg { sums, counts },
                 DenseAggState::SumAvg {
                     sums: s2,
                     counts: c2,
-                    ..
                 },
             ) => {
                 sums[cell] += s2[cell];
@@ -818,12 +830,7 @@ impl DenseAggState {
                 DenseAggState::MinMax { extremes: e2, .. },
             ) => {
                 if let Some(v) = e2[cell] {
-                    let e = &mut extremes[cell];
-                    *e = Some(match *e {
-                        None => v,
-                        Some(cur) if *is_max => cur.max(v),
-                        Some(cur) => cur.min(v),
-                    });
+                    fold_extreme(&mut extremes[cell], v, *is_max);
                 }
             }
             (DenseAggState::Median(a), DenseAggState::Median(b)) => {
@@ -834,35 +841,6 @@ impl DenseAggState {
                 }
             }
             _ => unreachable!("partitions share the aggregate list"),
-        }
-    }
-
-    /// Convert one cell into the [`Accumulator`] the rollup consumes,
-    /// draining owned state (sets, median buffers) instead of cloning.
-    fn take_accumulator(&mut self, cell: usize) -> Accumulator {
-        match self {
-            DenseAggState::Count(counts) => Accumulator::Count(counts[cell]),
-            DenseAggState::CountDistinct(sets) => {
-                Accumulator::CountDistinct(std::mem::take(&mut sets[cell]))
-            }
-            DenseAggState::SumAvg {
-                sums,
-                counts,
-                is_avg: false,
-            } => Accumulator::Sum {
-                sum: sums[cell],
-                n: counts[cell],
-            },
-            DenseAggState::SumAvg { sums, counts, .. } => Accumulator::Avg {
-                sum: sums[cell],
-                n: counts[cell],
-            },
-            DenseAggState::MinMax {
-                extremes,
-                is_max: false,
-            } => Accumulator::Min(extremes[cell]),
-            DenseAggState::MinMax { extremes, .. } => Accumulator::Max(extremes[cell]),
-            DenseAggState::Median(values) => Accumulator::Median(std::mem::take(&mut values[cell])),
         }
     }
 }
@@ -1257,8 +1235,12 @@ impl CubeQuery {
         })
     }
 
-    /// Turn one finished scan grid into the cube's [`CubeResult`]: extract
-    /// finest groups in deterministic order, roll up, finish accumulators.
+    /// Turn one folded scan grid into the cube's [`CubeResult`], column by
+    /// column: extract the finest groups in deterministic order (ascending
+    /// cell for a dense grid, ascending key for a hashed one) into one
+    /// [`GroupColumn`] per aggregate, record the rollup's [`MergeOrder`]
+    /// once, replay it on every mergeable column and finish the set- and
+    /// list-valued columns from each group's finest contributors.
     fn finish_scan(
         &self,
         grid: MemberGrid,
@@ -1268,21 +1250,23 @@ impl CubeQuery {
         arena: Option<&GridArena>,
     ) -> CubeResult {
         let d = self.dims.len();
-        let (finest, grid_mode, dense_cells) = match grid {
+        let mut columns: Vec<GroupColumn> = self
+            .aggregates
+            .iter()
+            .map(|(f, _)| GroupColumn::new(*f))
+            .collect();
+        let mut finest: Vec<GroupKey> = Vec::new();
+        let (grid_mode, dense_cells) = match grid {
             MemberGrid::Dense(mut grid) => {
-                // Convert touched cells (in deterministic cell order) to
-                // packed group keys: dense code n_lits ⇒ OTHER byte.
-                let mut finest = Vec::new();
+                // Touched cells in ascending order are the finest groups,
+                // their packed keys decoded from the cell: dense code
+                // n_lits ⇒ OTHER byte.
                 let touched = std::mem::take(&mut grid.touched);
-                for (cell, touched) in touched.iter().enumerate() {
-                    if !touched {
-                        continue;
-                    }
-                    let cell_accs: Vec<Accumulator> = grid
-                        .aggs
-                        .iter_mut()
-                        .map(|state| state.take_accumulator(cell))
-                        .collect();
+                let cells: Vec<usize> = (0..touched.len()).filter(|&c| touched[c]).collect();
+                for (column, state) in columns.iter_mut().zip(&grid.aggs) {
+                    column.extract(state, &cells);
+                }
+                for &cell in &cells {
                     let mut codes = [0u8; MAX_DIMS];
                     for (i, code) in codes.iter_mut().take(d).enumerate() {
                         let dc = (cell / plan.strides[i]) % plan.radices[i];
@@ -1292,17 +1276,17 @@ impl CubeQuery {
                             dc as u8
                         };
                     }
-                    finest.push((GroupKey::from_codes(&codes[..d]), cell_accs));
+                    finest.push(GroupKey::from_codes(&codes[..d]));
                 }
                 if let Some(arena) = arena {
                     arena.recycle_flags(touched);
                     grid.recycle_into(arena);
                 }
                 let cells = plan.cells.expect("dense grid implies dense cells") as u64;
-                (finest, GridMode::Dense, cells)
+                (GridMode::Dense, cells)
             }
             MemberGrid::Hashed(grid) => {
-                let mut finest: Vec<(GroupKey, Vec<Accumulator>)> = grid
+                let mut groups: Vec<(GroupKey, Vec<Accumulator>)> = grid
                     .groups
                     .into_iter()
                     .map(|(key, accs)| {
@@ -1314,22 +1298,40 @@ impl CubeQuery {
                         (GroupKey::from_codes(&codes[..d]), accs)
                     })
                     .collect();
-                // Deterministic rollup order regardless of hash iteration.
-                finest.sort_unstable_by_key(|(key, _)| *key);
-                (finest, GridMode::Hashed, 0)
+                // Deterministic order regardless of hash iteration.
+                groups.sort_unstable_by_key(|(key, _)| *key);
+                for (key, accs) in groups {
+                    finest.push(key);
+                    for (column, acc) in columns.iter_mut().zip(accs) {
+                        column.push(acc);
+                    }
+                }
+                (GridMode::Hashed, 0)
             }
         };
 
-        let finest_groups = finest.len() as u64;
-        let (keys, accs_arena) = rollup(finest, d);
+        let finest_groups = finest.len();
+        let order = MergeOrder::new(finest, d);
+        let total = order.keys.len();
+        let n_aggs = columns.len();
+        let contributors = columns
+            .iter()
+            .any(GroupColumn::needs_contributors)
+            .then(|| order.contributors(finest_groups));
+        let mut values = vec![None; total * n_aggs];
+        for (a, column) in columns.iter_mut().enumerate() {
+            column.replay(&order.edges, total);
+            let slots = values[a..].iter_mut().step_by(n_aggs);
+            column.finish_into(slots, contributors.as_ref());
+        }
 
         // Single-partition scans are the degenerate monolithic case and
         // report all-zero partition accounting.
         let partitioned = shape.partitions > 1;
         let stats = CubeStats {
             rows_scanned: shape.rows_scanned,
-            finest_groups,
-            total_groups: accs_arena.len() as u64,
+            finest_groups: finest_groups as u64,
+            total_groups: total as u64,
             grid_mode,
             dense_cells,
             blocks_scanned: tally.blocks_scanned,
@@ -1341,16 +1343,12 @@ impl CubeQuery {
             grids_patched: u64::from(shape.patched),
             delta_rows_scanned: if shape.patched { shape.rows_scanned } else { 0 },
         };
-        let groups = keys
-            .into_iter()
-            .zip(&accs_arena)
-            .map(|(k, accs)| (k, accs.iter().map(Accumulator::finish).collect()))
-            .collect();
         CubeResult {
             dims: self.dims.clone(),
             relevant: self.relevant.clone(),
-            n_aggs: self.aggregates.len(),
-            groups,
+            n_aggs,
+            index: order.index,
+            values,
             stats,
             visible_rows: shape.visible_rows,
             checkpoint: None,
@@ -1717,23 +1715,34 @@ impl<'a> CubePass<'a> {
         PartitionGrids { grids, tallies }
     }
 
-    /// Fold the pass: start from `prefix` (one checkpoint per member, all
-    /// resuming from the same boundary under this pass's options; empty
-    /// for a cold pass from row 0), ask `part(index, range)` for the grids
-    /// of every partition at or above the prefix in **ascending partition
-    /// order** — that left-fold is the determinism contract's merge order —
-    /// and merge each onto the running base. Whenever the base stands
-    /// exactly on the last span-aligned boundary, every patchable member's
-    /// state is cloned as its next checkpoint (for a patch whose boundary
-    /// did not move, that is the prefix itself, before any merge). Then
-    /// every member is finished and its checkpoint attached. `workers` is
-    /// the `partition_parallelism` gauge; it never affects results.
+    /// Fold the pass and finish every member: [`CubePass::fold_grids`],
+    /// then [`CubePass::finish`].
     pub(crate) fn fold(
         &self,
         prefix: &[&ScanCheckpoint],
         workers: u32,
-        mut part: impl FnMut(usize, std::ops::Range<usize>) -> PartitionGrids,
+        part: impl FnMut(usize, std::ops::Range<usize>) -> PartitionGrids,
     ) -> Vec<CubeResult> {
+        self.finish(self.fold_grids(prefix, workers, part))
+    }
+
+    /// Fold the pass's grids: start from `prefix` (one checkpoint per
+    /// member, all resuming from the same boundary under this pass's
+    /// options; empty for a cold pass from row 0), ask `part(index, range)`
+    /// for the grids of every partition at or above the prefix in
+    /// **ascending partition order** — that left-fold is the determinism
+    /// contract's merge order — and merge each onto the running base.
+    /// Whenever the base stands exactly on the last span-aligned boundary,
+    /// every patchable member's state is cloned as its next checkpoint (for
+    /// a patch whose boundary did not move, that is the prefix itself,
+    /// before any merge). `workers` is the `partition_parallelism` gauge;
+    /// it never affects results.
+    fn fold_grids(
+        &self,
+        prefix: &[&ScanCheckpoint],
+        workers: u32,
+        mut part: impl FnMut(usize, std::ops::Range<usize>) -> PartitionGrids,
+    ) -> FoldedPass {
         debug_assert!(
             prefix.is_empty() || prefix.len() == self.cubes.len(),
             "one checkpoint per member, or none"
@@ -1783,7 +1792,22 @@ impl<'a> CubePass<'a> {
                 None => base = Some(grids),
             }
         }
-        let PartitionGrids { grids, tallies } = base.expect("a cold pass has ≥ 1 partition");
+        FoldedPass {
+            base: base.expect("a cold pass has ≥ 1 partition"),
+            captured,
+            shape,
+            boundary,
+        }
+    }
+
+    /// Finish every member of a folded pass and attach its checkpoint.
+    fn finish(&self, folded: FoldedPass) -> Vec<CubeResult> {
+        let FoldedPass {
+            base: PartitionGrids { grids, tallies },
+            captured,
+            shape,
+            boundary,
+        } = folded;
         (self.cubes.iter().zip(&self.plans))
             .zip(grids.into_iter().zip(tallies))
             .zip(captured)
@@ -1793,7 +1817,7 @@ impl<'a> CubePass<'a> {
                     std::sync::Arc::new(ScanCheckpoint {
                         cube: (*cube).clone(),
                         rows: boundary,
-                        partition_blocks: span,
+                        partition_blocks: self.options.partition_blocks,
                         dense_cell_cap: self.options.dense_cell_cap,
                         grid,
                     })
@@ -1802,6 +1826,16 @@ impl<'a> CubePass<'a> {
             })
             .collect()
     }
+}
+
+/// A pass folded over all its partitions, not yet finished.
+struct FoldedPass {
+    /// Every member's grid and block tally over the whole pass.
+    base: PartitionGrids,
+    /// The patchable members' grids at `boundary`, when captured.
+    captured: Vec<Option<MemberGrid>>,
+    shape: PassShape,
+    boundary: usize,
 }
 
 /// The row loop of [`CubePass::scan`]: one sweep over a partition's rows in
@@ -1866,56 +1900,375 @@ fn scan_members(
     }
 }
 
-/// Roll the finest-level groups up into every dimension subset,
-/// dimension-at-a-time: after processing dimension `i`, the arena holds all
-/// groups whose first `i + 1` dimensions are either specific or ALL. Each
-/// group is merged into at most `d` coarser targets, and a target is
-/// allocated exactly once — O(d · groups) merges, no clones of intermediate
-/// accumulator vectors.
+// ---------------------------------------------------------------------------
+// Finishing a pass
+// ---------------------------------------------------------------------------
+
+/// One merge of the rollup: group `src` folds into the coarser group `tgt`
+/// (`src` with one more dimension rolled up). `first` marks the edge that
+/// creates `tgt`, which starts as a copy of `src`.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    src: u32,
+    tgt: u32,
+    first: bool,
+}
+
+/// The rollup into all `2^d` dimension subsets, recorded once per cube as
+/// the sequence of merges it performs — dimension-at-a-time: after
+/// dimension `i`, the groups are every group whose first `i + 1`
+/// dimensions are either specific or ALL. Each group merges into at most
+/// `d` coarser ones, O(d · groups) edges in all; keys from different
+/// subsets cannot collide because rolled-up dimensions read ALL.
 ///
-/// Keys from different subsets cannot collide because rolled-up dimensions
-/// read ALL.
-fn rollup(
-    finest: Vec<(GroupKey, Vec<Accumulator>)>,
-    d: usize,
-) -> (Vec<GroupKey>, Vec<Vec<Accumulator>>) {
-    let mut keys: Vec<GroupKey> = Vec::with_capacity(finest.len());
-    let mut arena: Vec<Vec<Accumulator>> = Vec::with_capacity(finest.len());
-    let mut index: FxHashMap<GroupKey, u32> = FxHashMap::default();
-    for (key, accs) in finest {
-        index.insert(key, arena.len() as u32);
-        keys.push(key);
-        arena.push(accs);
-    }
-    for dim in 0..d {
-        // Groups appended during this pass already read ALL at `dim`, so
-        // iterating the pre-pass length is exhaustive.
-        for idx in 0..arena.len() {
-            let key = keys[idx];
-            if key.code(dim) == ALL {
-                continue;
-            }
-            let target = key.rolled_up(dim);
-            match index.entry(target) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let tgt = *e.get() as usize;
-                    debug_assert_ne!(tgt, idx);
-                    let src = std::mem::take(&mut arena[idx]);
-                    for (a, b) in arena[tgt].iter_mut().zip(&src) {
-                        a.merge(b);
-                    }
-                    arena[idx] = src;
+/// A source's own merges all precede its outgoing edges (a group with
+/// rolled-up set `S` is created and filled while dimension `max S` rolls
+/// up, and only read while a later one does), so applying the edges in
+/// order to one flat array per aggregate — assign on `first`, merge
+/// otherwise — *is* the merge sequence, and every f64 bit follows from the
+/// finest groups' order alone.
+struct MergeOrder {
+    /// Every group's key: the finest groups first, in extraction order,
+    /// then each coarser group where its first edge created it.
+    keys: Vec<GroupKey>,
+    /// Key → position in `keys`.
+    index: FxHashMap<GroupKey, u32>,
+    edges: Vec<Edge>,
+}
+
+impl MergeOrder {
+    fn new(finest: Vec<GroupKey>, d: usize) -> MergeOrder {
+        let mut index: FxHashMap<GroupKey, u32> = FxHashMap::default();
+        // Room for the finest groups and about as many coarser ones.
+        index.reserve(2 * finest.len());
+        for (i, key) in finest.iter().enumerate() {
+            index.insert(*key, i as u32);
+        }
+        let mut keys = finest;
+        let mut edges = Vec::with_capacity(keys.len() * d);
+        for dim in 0..d {
+            // Groups appended during this dimension already read ALL at
+            // `dim`, so the length at its start is exhaustive.
+            for src in 0..keys.len() {
+                let key = keys[src];
+                if key.code(dim) == ALL {
+                    continue;
                 }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(arena.len() as u32);
+                let target = key.rolled_up(dim);
+                let next = keys.len() as u32;
+                let tgt = *index.entry(target).or_insert(next);
+                let first = tgt == next;
+                if first {
                     keys.push(target);
-                    let clone = arena[idx].clone();
-                    arena.push(clone);
+                }
+                edges.push(Edge {
+                    src: src as u32,
+                    tgt,
+                    first,
+                });
+            }
+        }
+        MergeOrder { keys, index, edges }
+    }
+
+    /// Each group's finest contributors: the group itself when finest,
+    /// else the concatenation of its sources' contributors in edge order.
+    /// Sources precede their targets, so one pass in group order builds
+    /// every row from rows already built.
+    fn contributors(&self, finest: usize) -> Packed<u32> {
+        let total = self.keys.len();
+        // The edges into each group, in edge order (a stable counting sort).
+        let mut starts = vec![0usize; total + 1];
+        for e in &self.edges {
+            starts[e.tgt as usize + 1] += 1;
+        }
+        for g in 0..total {
+            starts[g + 1] += starts[g];
+        }
+        let mut fill = starts.clone();
+        let mut sources = vec![0u32; self.edges.len()];
+        for e in &self.edges {
+            sources[fill[e.tgt as usize]] = e.src;
+            fill[e.tgt as usize] += 1;
+        }
+        let mut out = Packed::default();
+        for g in 0..total {
+            if g < finest {
+                out.items.push(g as u32);
+            } else {
+                for &src in &sources[starts[g]..starts[g + 1]] {
+                    let range = out.range(src as usize);
+                    out.items.extend_from_within(range);
+                }
+            }
+            out.end_row();
+        }
+        out
+    }
+}
+
+/// Variable-length rows in one buffer: row `i` is
+/// `items[starts[i]..starts[i + 1]]`.
+struct Packed<T> {
+    starts: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T> Default for Packed<T> {
+    fn default() -> Self {
+        Packed {
+            starts: vec![0],
+            items: Vec::new(),
+        }
+    }
+}
+
+impl<T> Packed<T> {
+    fn range(&self, row: usize) -> std::ops::Range<usize> {
+        self.starts[row]..self.starts[row + 1]
+    }
+
+    fn row(&self, row: usize) -> &[T] {
+        &self.items[self.range(row)]
+    }
+
+    /// Close the row being appended to `items`.
+    fn end_row(&mut self) {
+        self.starts.push(self.items.len());
+    }
+}
+
+/// One aggregate of one cube's groups, column-wise. The mergeable
+/// aggregates hold one flat slot per group — the finest groups' values as
+/// extracted, coarser slots filled by [`GroupColumn::replay`]. The set- and
+/// list-valued ones hold only the finest groups' distinct values or input
+/// values: a distinct count and a median are functions of a set and a
+/// multiset, so each group is finished once from its finest contributors
+/// instead of carrying sets and buffers through the merges.
+enum GroupColumn {
+    Count(Vec<u64>),
+    SumAvg {
+        sums: Vec<f64>,
+        counts: Vec<u64>,
+        is_avg: bool,
+    },
+    MinMax {
+        extremes: Vec<Option<f64>>,
+        is_max: bool,
+    },
+    /// Each finest group's distinct values, renamed to dense ids `0..`
+    /// in first-seen order.
+    CountDistinct {
+        ids: Packed<u32>,
+        dense: FxHashMap<u64, u32>,
+    },
+    Median(Packed<f64>),
+}
+
+impl GroupColumn {
+    fn new(function: AggFunction) -> GroupColumn {
+        match function {
+            AggFunction::Count => GroupColumn::Count(Vec::new()),
+            AggFunction::Sum | AggFunction::Avg => GroupColumn::SumAvg {
+                sums: Vec::new(),
+                counts: Vec::new(),
+                is_avg: function == AggFunction::Avg,
+            },
+            AggFunction::Min | AggFunction::Max => GroupColumn::MinMax {
+                extremes: Vec::new(),
+                is_max: function == AggFunction::Max,
+            },
+            AggFunction::CountDistinct => GroupColumn::CountDistinct {
+                ids: Packed::default(),
+                dense: FxHashMap::default(),
+            },
+            AggFunction::Median => GroupColumn::Median(Packed::default()),
+            AggFunction::Percentage | AggFunction::ConditionalProbability => {
+                unreachable!("validate() rejects ratio aggregates")
+            }
+        }
+    }
+
+    fn needs_contributors(&self) -> bool {
+        matches!(
+            self,
+            GroupColumn::CountDistinct { .. } | GroupColumn::Median(_)
+        )
+    }
+
+    /// Append the finest groups at `cells` of one dense grid state, in
+    /// order.
+    fn extract(&mut self, state: &DenseAggState, cells: &[usize]) {
+        match (self, state) {
+            (GroupColumn::Count(out), DenseAggState::Count(counts)) => {
+                out.extend(cells.iter().map(|&c| counts[c]));
+            }
+            (
+                GroupColumn::SumAvg { sums, counts, .. },
+                DenseAggState::SumAvg { sums: s, counts: n },
+            ) => {
+                sums.extend(cells.iter().map(|&c| s[c]));
+                counts.extend(cells.iter().map(|&c| n[c]));
+            }
+            (GroupColumn::MinMax { extremes, .. }, DenseAggState::MinMax { extremes: e, .. }) => {
+                extremes.extend(cells.iter().map(|&c| e[c]));
+            }
+            (column @ GroupColumn::CountDistinct { .. }, DenseAggState::CountDistinct(sets)) => {
+                for &c in cells {
+                    column.push_distinct(sets[c].iter().copied());
+                }
+            }
+            (GroupColumn::Median(lists), DenseAggState::Median(values)) => {
+                for &c in cells {
+                    lists.items.extend_from_slice(&values[c]);
+                    lists.end_row();
+                }
+            }
+            _ => unreachable!("a column and its grid state share one aggregate kind"),
+        }
+    }
+
+    /// Append the next finest group of a hashed grid.
+    fn push(&mut self, acc: Accumulator) {
+        match (self, acc) {
+            (GroupColumn::Count(counts), Accumulator::Count(n)) => counts.push(n),
+            (
+                GroupColumn::SumAvg { sums, counts, .. },
+                Accumulator::Sum { sum, n } | Accumulator::Avg { sum, n },
+            ) => {
+                sums.push(sum);
+                counts.push(n);
+            }
+            (GroupColumn::MinMax { extremes, .. }, Accumulator::Min(m) | Accumulator::Max(m)) => {
+                extremes.push(m)
+            }
+            (column @ GroupColumn::CountDistinct { .. }, Accumulator::CountDistinct(set)) => {
+                column.push_distinct(set)
+            }
+            (GroupColumn::Median(lists), Accumulator::Median(values)) => {
+                lists.items.extend(values);
+                lists.end_row();
+            }
+            _ => unreachable!("a column holds one aggregate kind"),
+        }
+    }
+
+    /// Append the next finest group's distinct values, renamed to ids.
+    fn push_distinct(&mut self, codes: impl IntoIterator<Item = u64>) {
+        let GroupColumn::CountDistinct { ids, dense } = self else {
+            unreachable!("only a distinct-count column holds distinct values")
+        };
+        for code in codes {
+            let next = dense.len() as u32;
+            ids.items.push(*dense.entry(code).or_insert(next));
+        }
+        ids.end_row();
+    }
+
+    /// Grow a mergeable column to `total` groups by applying the merge
+    /// order's edges in sequence.
+    fn replay(&mut self, edges: &[Edge], total: usize) {
+        match self {
+            GroupColumn::Count(counts) => {
+                counts.resize(total, 0);
+                for &Edge { src, tgt, first } in edges {
+                    let n = counts[src as usize];
+                    let t = &mut counts[tgt as usize];
+                    *t = if first { n } else { *t + n };
+                }
+            }
+            GroupColumn::SumAvg { sums, counts, .. } => {
+                sums.resize(total, 0.0);
+                counts.resize(total, 0);
+                for &Edge { src, tgt, first } in edges {
+                    let (src, tgt) = (src as usize, tgt as usize);
+                    if first {
+                        sums[tgt] = sums[src];
+                        counts[tgt] = counts[src];
+                    } else {
+                        sums[tgt] += sums[src];
+                        counts[tgt] += counts[src];
+                    }
+                }
+            }
+            GroupColumn::MinMax { extremes, is_max } => {
+                extremes.resize(total, None);
+                for &Edge { src, tgt, first } in edges {
+                    let v = extremes[src as usize];
+                    let t = &mut extremes[tgt as usize];
+                    if first {
+                        *t = v;
+                    } else if let Some(v) = v {
+                        fold_extreme(t, v, *is_max);
+                    }
+                }
+            }
+            GroupColumn::CountDistinct { .. } | GroupColumn::Median(_) => {}
+        }
+    }
+
+    /// Write every group's finished value into `slots` (one per group, in
+    /// group order), with SQL semantics: `Count` of an empty group is 0,
+    /// the value aggregates of one are NULL.
+    fn finish_into<'s>(
+        &self,
+        slots: impl Iterator<Item = &'s mut Option<f64>>,
+        contributors: Option<&Packed<u32>>,
+    ) {
+        let contributors = || contributors.expect("set/list columns come with contributors");
+        match self {
+            GroupColumn::Count(counts) => {
+                for (slot, &n) in slots.zip(counts) {
+                    *slot = Some(n as f64);
+                }
+            }
+            GroupColumn::SumAvg {
+                sums,
+                counts,
+                is_avg,
+            } => {
+                for (slot, (&sum, &n)) in slots.zip(sums.iter().zip(counts)) {
+                    *slot = match (n, is_avg) {
+                        (0, _) => None,
+                        (_, false) => Some(sum),
+                        (_, true) => Some(sum / n as f64),
+                    };
+                }
+            }
+            GroupColumn::MinMax { extremes, .. } => {
+                for (slot, &e) in slots.zip(extremes) {
+                    *slot = e;
+                }
+            }
+            GroupColumn::CountDistinct { ids, dense } => {
+                let members = contributors();
+                // Per id, the last group that counted it.
+                let mut seen = vec![u32::MAX; dense.len()];
+                for (g, slot) in slots.enumerate() {
+                    let mut distinct = 0usize;
+                    for &m in members.row(g) {
+                        for &id in ids.row(m as usize) {
+                            let seen = &mut seen[id as usize];
+                            distinct += usize::from(*seen != g as u32);
+                            *seen = g as u32;
+                        }
+                    }
+                    *slot = Some(distinct as f64);
+                }
+            }
+            GroupColumn::Median(lists) => {
+                let members = contributors();
+                let mut values = Vec::new();
+                for (g, slot) in slots.enumerate() {
+                    values.clear();
+                    for &m in members.row(g) {
+                        values.extend_from_slice(lists.row(m as usize));
+                    }
+                    *slot = median_in_place(&mut values);
                 }
             }
         }
     }
-    (keys, arena)
 }
 
 impl CubeResult {
@@ -1942,7 +2295,8 @@ impl CubeResult {
     /// of every slice cut from this cube.
     #[inline]
     pub fn group(&self, key: GroupKey) -> Option<&[Option<f64>]> {
-        self.groups.get(&key).map(Vec::as_slice)
+        let row = *self.index.get(&key)? as usize * self.n_aggs;
+        Some(&self.values[row..row + self.n_aggs])
     }
 
     /// Look up the aggregate `agg_idx` for the group selected by
@@ -1978,7 +2332,7 @@ impl CubeResult {
 
     /// Total number of materialized groups.
     pub fn group_count(&self) -> usize {
-        self.groups.len()
+        self.index.len()
     }
 
     /// Visible rows of the scanned relation when this result was computed
@@ -2030,6 +2384,24 @@ mod tests {
     fn patch_one(db: &Database, cp: &ScanCheckpoint, options: &CubeOptions) -> CubeResult {
         let mut results = execute_patches_in(db, &[cp], options, None).unwrap();
         results.pop().expect("one member")
+    }
+
+    /// A result's groups as `(key, values)` in key order, f64s as bits.
+    type GroupBits = Vec<(u64, Vec<Option<u64>>)>;
+
+    /// The canonical view of a result's groups every comparison goes
+    /// through: bits, so `-0.0` and `0.0` differ and a NaN equals itself.
+    fn grid_bits(r: &CubeResult) -> GroupBits {
+        let mut v: GroupBits = r
+            .index
+            .keys()
+            .map(|&k| {
+                let vals = r.group(k).expect("indexed group");
+                (k.0, vals.iter().map(|o| o.map(f64::to_bits)).collect())
+            })
+            .collect();
+        v.sort();
+        v
     }
 
     /// Figure 2's data set, as in the exec tests.
@@ -2534,10 +2906,7 @@ mod tests {
             for (cube, fused_result) in cubes.iter().zip(&fused) {
                 let solo = cube.execute_with(&db, &options).unwrap();
                 assert_eq!(fused_result.stats, solo.stats, "cap={cap}");
-                assert_eq!(fused_result.group_count(), solo.group_count());
-                for (key, vals) in &solo.groups {
-                    assert_eq!(fused_result.groups.get(key), Some(vals), "cap={cap}");
-                }
+                assert_eq!(grid_bits(fused_result), grid_bits(&solo), "cap={cap}");
             }
         }
     }
@@ -2616,7 +2985,7 @@ mod tests {
         assert_eq!(arena.stats().allocations, after_first.allocations);
         assert_eq!(arena.stats().reuses, after_first.allocations);
         for (a, b) in first.iter().zip(&second) {
-            assert_eq!(a.groups, b.groups);
+            assert_eq!(grid_bits(a), grid_bits(b));
         }
     }
 
@@ -2654,7 +3023,7 @@ mod tests {
         assert_eq!(in_process.stats.partitions_scanned, 5);
         for threads in [1usize, 2, 4, 8] {
             let r = wave_pass(&db, &[&q], 1, threads, None).pop().unwrap();
-            assert_eq!(r.groups, in_process.groups, "{threads} workers");
+            assert_eq!(grid_bits(&r), grid_bits(&in_process), "{threads} workers");
             assert_eq!(
                 r.stats.partitions_scanned,
                 in_process.stats.partitions_scanned
@@ -2720,7 +3089,7 @@ mod tests {
         plain_db.unseal_tables();
         let plain = q.execute(&plain_db).unwrap();
         assert_eq!(plain.stats.blocks_scanned + plain.stats.blocks_skipped, 0);
-        assert_eq!(sealed.groups, plain.groups);
+        assert_eq!(grid_bits(&sealed), grid_bits(&plain));
     }
 
     #[test]
@@ -2749,7 +3118,11 @@ mod tests {
         let mut plain_db = db.clone();
         plain_db.unseal_tables();
         let plain = q.execute(&plain_db).unwrap();
-        assert_eq!(sealed.groups, plain.groups, "encoded must be bit-identical");
+        assert_eq!(
+            grid_bits(&sealed),
+            grid_bits(&plain),
+            "encoded must be bit-identical"
+        );
     }
 
     #[test]
@@ -2767,7 +3140,10 @@ mod tests {
         assert_eq!(result.stats.blocks_scanned + result.stats.blocks_skipped, 0);
         let mut plain_db = db.clone();
         plain_db.unseal_tables();
-        assert_eq!(result.groups, q.execute(&plain_db).unwrap().groups);
+        assert_eq!(
+            grid_bits(&result),
+            grid_bits(&q.execute(&plain_db).unwrap())
+        );
     }
 
     #[test]
@@ -2790,7 +3166,7 @@ mod tests {
         for (cube, fused_result) in [&count_cube, &sum_cube].iter().zip(&fused) {
             let solo = cube.execute_with(&db, &options).unwrap();
             assert_eq!(fused_result.stats, solo.stats);
-            assert_eq!(fused_result.groups, solo.groups);
+            assert_eq!(grid_bits(fused_result), grid_bits(&solo));
         }
         assert!(fused[0].stats.blocks_skipped > 0, "{:?}", fused[0].stats);
     }
@@ -2858,17 +3234,6 @@ mod tests {
                 (AggFunction::Max, AggColumn::Column(score)),
             ],
         }
-    }
-
-    /// Bit-exact fingerprint of a result's groups (f64s compared by bits).
-    fn grid_bits(r: &CubeResult) -> Vec<(u64, Vec<Option<u64>>)> {
-        let mut v: Vec<(u64, Vec<Option<u64>>)> = r
-            .groups
-            .iter()
-            .map(|(k, vals)| (k.0, vals.iter().map(|o| o.map(f64::to_bits)).collect()))
-            .collect();
-        v.sort();
-        v
     }
 
     #[test]
@@ -3202,7 +3567,8 @@ mod tests {
     }
 
     /// One engine, every driver: the same fused member set — a dense and a
-    /// hashed patch-class member plus a dense `CountDistinct` member — over
+    /// hashed patch-class member plus a dense `CountDistinct` + `Median`
+    /// member — over
     /// a 3-span relation must come out of the in-process driver, the
     /// scheduler fan-out at 1/2/4 workers, and (for the patch-class
     /// members) the patch driver with bit-equal grids and equal checkpoint
@@ -3225,12 +3591,16 @@ mod tests {
                 (AggFunction::Sum, AggColumn::Column(val)),
             ],
         };
-        let distinct = CubeQuery {
+        let score = db.resolve("events", "score").unwrap();
+        let recompute = CubeQuery {
             dims: vec![cat],
             relevant: vec![vec!["c1".into()].into()],
-            aggregates: vec![(AggFunction::CountDistinct, AggColumn::Column(val))],
+            aggregates: vec![
+                (AggFunction::CountDistinct, AggColumn::Column(val)),
+                (AggFunction::Median, AggColumn::Column(score)),
+            ],
         };
-        let members = [&dense, &hashed, &distinct];
+        let members = [&dense, &hashed, &recompute];
         let options = CubeOptions {
             partition_blocks: 1,
             ..CubeOptions::default()
@@ -3261,7 +3631,7 @@ mod tests {
             assert_eq!(reference[1].stats.grid_mode, GridMode::Hashed);
             assert_eq!(boundary(&reference[0]), Some(expect_boundary));
             assert_eq!(boundary(&reference[1]), Some(expect_boundary));
-            assert_eq!(boundary(&reference[2]), None, "CountDistinct recomputes");
+            assert_eq!(boundary(&reference[2]), None, "set/list members recompute");
 
             let snapshot = Arc::new(db.clone());
             for threads in [1usize, 2, 4] {
@@ -3313,6 +3683,268 @@ mod tests {
                     .map(|r| r.checkpoint().expect("patch-class member").clone())
                     .collect();
             }
+        }
+    }
+
+    // -----------------------------------------------------------------------
+    // The column-wise finish against the per-group oracle
+    // -----------------------------------------------------------------------
+
+    /// The finish the column-wise one replaced, kept as its oracle: every
+    /// finest group extracted as a `Vec<Accumulator>` (ascending cell, or
+    /// ascending key for a hashed grid), rolled up by cloning and merging
+    /// whole accumulator vectors, and finished by [`Accumulator::finish`] —
+    /// in the canonical view of [`grid_bits`].
+    fn oracle_finish(grid: MemberGrid, plan: &ScanPlan<'_>, cube: &CubeQuery) -> GroupBits {
+        let d = cube.dims.len();
+        let key_of = |dense_codes: &dyn Fn(usize) -> usize| {
+            let codes: Vec<u8> = (0..d)
+                .map(|i| match dense_codes(i) {
+                    dc if dc == plan.radices[i] - 1 => OTHER,
+                    dc => dc as u8,
+                })
+                .collect();
+            GroupKey::from_codes(&codes)
+        };
+        let finest: Vec<(GroupKey, Vec<Accumulator>)> = match grid {
+            MemberGrid::Dense(mut grid) => {
+                let touched = std::mem::take(&mut grid.touched);
+                (0..touched.len())
+                    .filter(|&cell| touched[cell])
+                    .map(|cell| {
+                        let accs = (grid.aggs.iter_mut().zip(&cube.aggregates))
+                            .map(|(state, (f, _))| cell_accumulator(state, cell, *f))
+                            .collect();
+                        let key = key_of(&|i| (cell / plan.strides[i]) % plan.radices[i]);
+                        (key, accs)
+                    })
+                    .collect()
+            }
+            MemberGrid::Hashed(grid) => {
+                let mut finest: Vec<_> = grid
+                    .groups
+                    .into_iter()
+                    .map(|(key, accs)| (key_of(&|i| ((key >> (8 * i)) & 0xff) as usize), accs))
+                    .collect();
+                finest.sort_unstable_by_key(|(key, _)| *key);
+                finest
+            }
+        };
+        let (keys, arena) = rollup(finest, d);
+        let mut bits: GroupBits = keys
+            .iter()
+            .zip(&arena)
+            .map(|(key, accs)| {
+                let values = accs.iter().map(|a| a.finish().map(f64::to_bits));
+                (key.0, values.collect())
+            })
+            .collect();
+        bits.sort();
+        bits
+    }
+
+    /// One dense cell as the accumulator of aggregate `f`, its set or
+    /// buffer drained rather than cloned.
+    fn cell_accumulator(state: &mut DenseAggState, cell: usize, f: AggFunction) -> Accumulator {
+        match state {
+            DenseAggState::Count(counts) => Accumulator::Count(counts[cell]),
+            DenseAggState::CountDistinct(sets) => {
+                Accumulator::CountDistinct(std::mem::take(&mut sets[cell]))
+            }
+            DenseAggState::SumAvg { sums, counts } => {
+                let (sum, n) = (sums[cell], counts[cell]);
+                match f {
+                    AggFunction::Avg => Accumulator::Avg { sum, n },
+                    _ => Accumulator::Sum { sum, n },
+                }
+            }
+            DenseAggState::MinMax { extremes, is_max } => match is_max {
+                false => Accumulator::Min(extremes[cell]),
+                true => Accumulator::Max(extremes[cell]),
+            },
+            DenseAggState::Median(values) => Accumulator::Median(std::mem::take(&mut values[cell])),
+        }
+    }
+
+    /// The oracle's rollup: dimension-at-a-time, one `Vec<Accumulator>`
+    /// per group, a coarser group cloned from the first finer group that
+    /// reaches it and merged with the rest.
+    fn rollup(
+        finest: Vec<(GroupKey, Vec<Accumulator>)>,
+        d: usize,
+    ) -> (Vec<GroupKey>, Vec<Vec<Accumulator>>) {
+        let mut keys: Vec<GroupKey> = Vec::with_capacity(finest.len());
+        let mut arena: Vec<Vec<Accumulator>> = Vec::with_capacity(finest.len());
+        let mut index: FxHashMap<GroupKey, u32> = FxHashMap::default();
+        for (key, accs) in finest {
+            index.insert(key, arena.len() as u32);
+            keys.push(key);
+            arena.push(accs);
+        }
+        for dim in 0..d {
+            for idx in 0..arena.len() {
+                let key = keys[idx];
+                if key.code(dim) == ALL {
+                    continue;
+                }
+                let target = key.rolled_up(dim);
+                match index.entry(target) {
+                    std::collections::hash_map::Entry::Occupied(e) => {
+                        let tgt = *e.get() as usize;
+                        let src = std::mem::take(&mut arena[idx]);
+                        for (a, b) in arena[tgt].iter_mut().zip(&src) {
+                            a.merge(b);
+                        }
+                        arena[idx] = src;
+                    }
+                    std::collections::hash_map::Entry::Vacant(e) => {
+                        e.insert(arena.len() as u32);
+                        keys.push(target);
+                        let clone = arena[idx].clone();
+                        arena.push(clone);
+                    }
+                }
+            }
+        }
+        (keys, arena)
+    }
+
+    /// Fold one pass in-process — cold, or resuming from `prefix` — and
+    /// finish it both ways: each member's result beside the oracle's view
+    /// of the same folded grid.
+    fn finish_with_oracle(
+        db: &Database,
+        cubes: &[&CubeQuery],
+        options: &CubeOptions,
+        prefix: &[&ScanCheckpoint],
+    ) -> Vec<(CubeResult, GroupBits)> {
+        let relation = JoinedRelation::for_tables(db, &cubes[0].tables_referenced()).unwrap();
+        let pass = CubePass::new(db, &relation, cubes, options, None);
+        let folded = pass.fold_grids(prefix, 1, |_, range| pass.scan(range));
+        let oracles: Vec<_> = (folded.base.grids.iter().zip(&pass.plans))
+            .zip(cubes)
+            .map(|((grid, plan), cube)| oracle_finish(grid.clone(), plan, cube))
+            .collect();
+        pass.finish(folded).into_iter().zip(oracles).collect()
+    }
+
+    /// Row `i` of the oracle corpus drawn from `seed`: four low-cardinality
+    /// categorical columns with NULLs, an integer column and a float
+    /// column whose values repeat, include both zeros, and make f64 sums
+    /// depend on their association.
+    fn oracle_row(seed: u64, i: usize) -> Vec<Value> {
+        const SCORES: [f64; 7] = [0.0, -0.0, 0.1, 0.1, 2.5, -7.25, 333_333.3];
+        let mut h = seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut draw = |n: u64| {
+            h = h
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (h >> 33) % n
+        };
+        let mut row: Vec<Value> = (0..4)
+            .map(|dim| match draw(5) {
+                0 => Value::Null,
+                k => Value::Str(format!("d{dim}v{k}")),
+            })
+            .collect();
+        row.push(match draw(6) {
+            0 => Value::Null,
+            k => Value::Int(k as i64 - 3),
+        });
+        row.push(match draw(8) {
+            7 => Value::Null,
+            k => Value::Float(SCORES[k as usize]),
+        });
+        row
+    }
+
+    fn oracle_db(seed: u64, rows: usize) -> Database {
+        let names = ["c0", "c1", "c2", "c3", "val", "score"];
+        let mut columns: Vec<(&str, Vec<Value>)> = names.iter().map(|n| (*n, Vec::new())).collect();
+        for i in 0..rows {
+            for (column, value) in columns.iter_mut().zip(oracle_row(seed, i)) {
+                column.1.push(value);
+            }
+        }
+        let mut db = Database::new("oracle");
+        db.add_table(Table::from_columns("t", columns).unwrap());
+        db
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The column-wise finish is the per-group finish it replaced, bit
+        /// for bit (`Sum`/`Avg` by `to_bits`), for 1–4 dimensions, dense
+        /// and hashed grids, one partition or several, and for a patched
+        /// pass resuming from a checkpoint.
+        #[test]
+        fn column_finish_matches_the_accumulator_oracle(
+            seed in any::<u64>(),
+            rows in 100usize..5000,
+            appended in 1usize..1500,
+            d in 1usize..5,
+            hashed in any::<bool>(),
+            span_sel in 0usize..2,
+        ) {
+            let mut db = oracle_db(seed, rows);
+            let col = |name: &str| db.resolve("t", name).unwrap();
+            let (val, score) = (col("val"), col("score"));
+            let dims: Vec<ColumnRef> = (0..d).map(|i| col(&format!("c{i}"))).collect();
+            // One to three literals per dimension, one of them sometimes
+            // absent from the data.
+            let relevant: Vec<Literals> = (0..d)
+                .map(|i| {
+                    let k = 1 + (seed >> (4 * i)) as usize % 3;
+                    (0..k)
+                        .map(|j| Value::Str(format!("d{i}v{}", 1 + (j + i) % 5)))
+                        .collect()
+                })
+                .collect();
+            let every_kind = CubeQuery {
+                dims: dims.clone(),
+                relevant: relevant.clone(),
+                aggregates: vec![
+                    (AggFunction::Count, AggColumn::Star),
+                    (AggFunction::Count, AggColumn::Column(score)),
+                    (AggFunction::CountDistinct, AggColumn::Column(val)),
+                    (AggFunction::CountDistinct, AggColumn::Column(score)),
+                    (AggFunction::Sum, AggColumn::Column(score)),
+                    (AggFunction::Avg, AggColumn::Column(score)),
+                    (AggFunction::Min, AggColumn::Column(score)),
+                    (AggFunction::Max, AggColumn::Column(val)),
+                    (AggFunction::Median, AggColumn::Column(score)),
+                    (AggFunction::Median, AggColumn::Column(val)),
+                ],
+            };
+            let patchable = CubeQuery {
+                dims,
+                relevant,
+                aggregates: vec![
+                    (AggFunction::Count, AggColumn::Star),
+                    (AggFunction::Sum, AggColumn::Column(score)),
+                    (AggFunction::Avg, AggColumn::Column(score)),
+                    (AggFunction::Min, AggColumn::Column(val)),
+                    (AggFunction::Max, AggColumn::Column(score)),
+                ],
+            };
+            let options = CubeOptions {
+                dense_cell_cap: if hashed { 0 } else { CubeOptions::default().dense_cell_cap },
+                partition_blocks: [1, 64][span_sel],
+            };
+            let cold = finish_with_oracle(&db, &[&every_kind, &patchable], &options, &[]);
+            for (result, oracle) in &cold {
+                prop_assert_eq!(grid_bits(result), oracle.clone());
+            }
+            let Some(cp) = cold[1].0.checkpoint().cloned() else {
+                return Ok(());
+            };
+            let batch: Vec<Vec<Value>> =
+                (rows..rows + appended).map(|i| oracle_row(seed, i)).collect();
+            db.append_rows("t", &batch).unwrap();
+            let patched = finish_with_oracle(&db, &[&patchable], &options, &[&cp]);
+            prop_assert_eq!(patched[0].0.stats.grids_patched, 1);
+            prop_assert_eq!(grid_bits(&patched[0].0), patched[0].1.clone());
         }
     }
 

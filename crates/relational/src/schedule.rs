@@ -31,7 +31,8 @@
 //!
 //! # ScanGroup fusion invariants
 //!
-//! Fused passes must not perturb anything the dedup gate measures:
+//! Fused passes must not perturb anything `bench_pipeline`'s
+//! `violations()` judges:
 //!
 //! * **Canonical grid-update order.** A scan group's members are kept in
 //!   task-submission order and the fused kernel updates their grids in
@@ -57,11 +58,12 @@
 //!   iterations) or retains at least one key no concurrent wave covers
 //!   (distinct documents) — the shape of real document batches, where
 //!   every document's claims contribute document-specific cube groups.
-//!   The CI `dedup-gate` asserts the equality end to end at 1 vs 4
-//!   workers (and the pipeline unit tests at 1/2/4/8) on the committed
-//!   corpora; a batch of documents whose miss sets *partially* overlap
-//!   with no wave-unique remainder could legitimately shift a pass
-//!   between waves, which the gate would surface rather than hide.
+//!   The pipeline unit tests assert the equality at 1/2/4/8 workers. A
+//!   batch of documents whose miss sets *partially* overlap with no
+//!   wave-unique remainder could legitimately shift a pass between
+//!   waves, so at bench scale `bench_pipeline`'s `violations()` holds
+//!   `tasks_executed` exactly equal at every worker count, passes exactly
+//!   equal only at one worker, and otherwise bounds the pass count.
 //!
 //! # Partition fan-out
 //!
@@ -917,8 +919,9 @@ pub enum TaskBundling {
     /// (`CandidateSet::enumerate` in `agg-core`), so these bundles are
     /// canonical: every requester of any document asks for exactly the
     /// same keys, and the executed-task set is independent of scheduling.
-    /// `BatchVerifier` uses this at every worker count, which is what the
-    /// CI dedup gate measures.
+    /// `BatchVerifier` uses this at every worker count, which is what
+    /// `bench_pipeline`'s `violations()` judges (`tasks_executed` equal
+    /// at every worker count).
     Canonical,
 }
 
@@ -986,7 +989,8 @@ pub struct ScanCounters {
     pub bytes_scanned: u64,
     /// Fixed partitions scanned (each partitioned pass counts its
     /// partition count once, like `rows_scanned`; a single-partition pass
-    /// counts 0). Worker-count independent — the `partition-gate` pins it.
+    /// counts 0). Worker-count independent — `bench_pipeline`'s
+    /// `violations()` pins it across its `partitioned_*` variants.
     pub partitions_scanned: u64,
     /// Partition-grid merges performed, summed per member task (each
     /// member's grids really fold `partitions − 1` times). Worker-count

@@ -126,9 +126,9 @@ proptest! {
     #[test]
     fn cube_grid_modes_and_naive_scans_agree(
         rows in prop::collection::vec(
-            // (category selector, region selector, nullable numeric):
-            // cat 4 and region 3 encode NULL cells.
-            (0u8..5, 0u8..4, prop::option::of(-40i64..40)),
+            // (category, region, tier selector, nullable numeric): cat 4,
+            // region 3 and tier 2 encode NULL cells; numerics repeat.
+            (0u8..5, 0u8..4, 0u8..3, prop::option::of(-6i64..6)),
             1..50,
         ),
         threads in 2usize..5,
@@ -137,19 +137,22 @@ proptest! {
         // and "delta" occur but are *not* relevant (OTHER-bucket coverage).
         let cat_names = [Some("alpha"), Some("beta"), Some("gamma"), Some("delta"), None];
         let region_names = [Some("north"), Some("south"), Some("east"), None];
+        let tier_names = [Some("gold"), Some("tin"), None];
         let mut table = Table::new(TableSchema::new(
             "t",
             vec![
                 ColumnMeta::new("cat", DataType::Str),
                 ColumnMeta::new("region", DataType::Str),
+                ColumnMeta::new("tier", DataType::Str),
                 ColumnMeta::new("num", DataType::Int),
             ],
         ));
-        for (c, r, n) in &rows {
+        for (c, r, t, n) in &rows {
             table
                 .push_row(&[
                     cat_names[*c as usize].map(Value::from).unwrap_or(Value::Null),
                     region_names[*r as usize].map(Value::from).unwrap_or(Value::Null),
+                    tier_names[*t as usize].map(Value::from).unwrap_or(Value::Null),
                     n.map(Value::Int).unwrap_or(Value::Null),
                 ])
                 .unwrap();
@@ -158,15 +161,18 @@ proptest! {
         db.add_table(table);
         let cat = db.resolve("t", "cat").unwrap();
         let region = db.resolve("t", "region").unwrap();
+        let tier = db.resolve("t", "tier").unwrap();
         let num = db.resolve("t", "num").unwrap();
 
         let cat_relevant = ["alpha", "beta", "ghost"];
         let region_relevant = ["north"];
+        let tier_relevant = ["gold"];
         let cube = CubeQuery {
-            dims: vec![cat, region],
+            dims: vec![cat, region, tier],
             relevant: vec![
                 cat_relevant.iter().map(|s| Value::from(*s)).collect(),
                 region_relevant.iter().map(|s| Value::from(*s)).collect(),
+                tier_relevant.iter().map(|s| Value::from(*s)).collect(),
             ],
             aggregates: vec![
                 (AggFunction::Count, AggColumn::Star),
@@ -177,6 +183,7 @@ proptest! {
                 (AggFunction::Max, AggColumn::Column(num)),
                 (AggFunction::CountDistinct, AggColumn::Column(num)),
                 (AggFunction::CountDistinct, AggColumn::Column(cat)),
+                (AggFunction::Median, AggColumn::Column(num)),
             ],
         };
 
@@ -207,40 +214,43 @@ proptest! {
             .map(|i| (DimSel::Literal(i), Some(region_relevant[i])))
             .chain([(DimSel::Any, None)])
             .collect();
-        for (cat_sel, cat_lit) in &cat_sels {
-            for (region_sel, region_lit) in &region_sels {
-                let assignment = [*cat_sel, *region_sel];
-                let mut preds = Vec::new();
-                if let Some(lit) = cat_lit {
-                    preds.push(Predicate::new(cat, *lit));
+        let tier_sels = [(DimSel::Literal(0), Some(tier_relevant[0])), (DimSel::Any, None)];
+        let mut combos = Vec::new();
+        for c in &cat_sels {
+            for r in &region_sels {
+                combos.extend(tier_sels.iter().map(|t| [*c, *r, *t]));
+            }
+        }
+        for sels in combos {
+            let assignment = sels.map(|(sel, _)| sel);
+            let mut preds = Vec::new();
+            for (column, (_, lit)) in [cat, region, tier].into_iter().zip(sels) {
+                if let Some(lit) = lit {
+                    preds.push(Predicate::new(column, lit));
                 }
-                if let Some(lit) = region_lit {
-                    preds.push(Predicate::new(region, *lit));
-                }
-                for (idx, (f, col)) in cube.aggregates.iter().enumerate() {
-                    let naive =
-                        execute_query(&db, &SimpleAggregateQuery::new(*f, *col, preds.clone()))
-                            .unwrap();
-                    let count_like =
-                        matches!(f, AggFunction::Count | AggFunction::CountDistinct);
-                    for (name, result) in
-                        [("dense", &dense), ("hashed", &hashed), ("parallel", &parallel)]
-                    {
-                        let merged = if count_like {
-                            Some(result.get_count(&assignment, idx))
-                        } else {
-                            result.get(&assignment, idx)
-                        };
-                        prop_assert_eq!(
-                            merged,
-                            naive,
-                            "[{}] {:?} over {:?} at {:?}",
-                            name,
-                            f,
-                            col,
-                            assignment
-                        );
-                    }
+            }
+            for (idx, (f, col)) in cube.aggregates.iter().enumerate() {
+                let naive =
+                    execute_query(&db, &SimpleAggregateQuery::new(*f, *col, preds.clone()))
+                        .unwrap();
+                let count_like = matches!(f, AggFunction::Count | AggFunction::CountDistinct);
+                for (name, result) in
+                    [("dense", &dense), ("hashed", &hashed), ("parallel", &parallel)]
+                {
+                    let merged = if count_like {
+                        Some(result.get_count(&assignment, idx))
+                    } else {
+                        result.get(&assignment, idx)
+                    };
+                    prop_assert_eq!(
+                        merged,
+                        naive,
+                        "[{}] {:?} over {:?} at {:?}",
+                        name,
+                        f,
+                        col,
+                        assignment
+                    );
                 }
             }
         }
@@ -260,6 +270,123 @@ proptest! {
         }
         if let (Some(qa), Some(qb)) = (&qa, &qb) {
             prop_assert_eq!(qa.semantically_equal(qb), qb.semantically_equal(qa));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Set- and list-valued aggregates are functions of each group's values
+// ---------------------------------------------------------------------------
+
+/// Three categorical dimensions (`x0`–`x2`) and a nullable float column
+/// whose values repeat and include both zeros, in the given row order.
+fn score_db(rows: &[(u8, u8, u8, Option<usize>)]) -> Database {
+    const SCORES: [f64; 6] = [0.0, -0.0, 1.5, 1.5, -2.25, 0.1];
+    let mut table = Table::new(TableSchema::new(
+        "t",
+        vec![
+            ColumnMeta::new("a", DataType::Str),
+            ColumnMeta::new("b", DataType::Str),
+            ColumnMeta::new("c", DataType::Str),
+            ColumnMeta::new("score", DataType::Float),
+        ],
+    ));
+    for &(a, b, c, score) in rows {
+        table
+            .push_row(&[
+                Value::Str(format!("x{a}")),
+                Value::Str(format!("x{b}")),
+                Value::Str(format!("x{c}")),
+                score.map_or(Value::Null, |i| Value::Float(SCORES[i])),
+            ])
+            .unwrap();
+    }
+    let mut db = Database::new("scores");
+    db.add_table(table);
+    db
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `Median` and `CountDistinct` depend on each group's values, not on
+    /// the order rows arrive in: a table and a permutation of its rows give
+    /// bit-identical results for every group, on dense and hashed grids,
+    /// and both agree bit for bit with the naive executor — with `±0.0`
+    /// ties and repeated values in the data.
+    #[test]
+    fn median_and_distinct_count_ignore_row_order(
+        rows in prop::collection::vec(
+            (0u8..3, 0u8..3, 0u8..3, prop::option::of(0usize..6), any::<u64>()),
+            1..80,
+        ),
+    ) {
+        let ordered: Vec<_> = rows.iter().map(|&(a, b, c, s, _)| (a, b, c, s)).collect();
+        let mut permuted = rows.clone();
+        permuted.sort_by_key(|row| row.4);
+        let permuted: Vec<_> = permuted.iter().map(|&(a, b, c, s, _)| (a, b, c, s)).collect();
+        let db = score_db(&ordered);
+        let dims: Vec<_> = ["a", "b", "c"].iter().map(|c| db.resolve("t", c).unwrap()).collect();
+        let score = db.resolve("t", "score").unwrap();
+        let relevant: [&[&str]; 3] = [&["x0", "x1"], &["x2"], &["x1", "x0"]];
+        let cube = CubeQuery {
+            dims: dims.clone(),
+            relevant: relevant
+                .iter()
+                .map(|lits| lits.iter().map(|s| Value::from(*s)).collect())
+                .collect(),
+            aggregates: vec![
+                (AggFunction::Median, AggColumn::Column(score)),
+                (AggFunction::CountDistinct, AggColumn::Column(score)),
+            ],
+        };
+        let hashed = CubeOptions { dense_cell_cap: 0, ..CubeOptions::default() };
+        let results = [
+            ("dense", cube.execute(&db).unwrap()),
+            ("hashed", cube.execute_with(&db, &hashed).unwrap()),
+            ("permuted dense", cube.execute(&score_db(&permuted)).unwrap()),
+            ("permuted hashed", cube.execute_with(&score_db(&permuted), &hashed).unwrap()),
+        ];
+        // Every selector per dimension: each relevant literal, then Any.
+        let mut assignments: Vec<Vec<(DimSel, Option<&str>)>> = vec![Vec::new()];
+        for lits in relevant {
+            let sels: Vec<(DimSel, Option<&str>)> = lits
+                .iter()
+                .enumerate()
+                .map(|(i, lit)| (DimSel::Literal(i), Some(*lit)))
+                .chain([(DimSel::Any, None)])
+                .collect();
+            assignments = assignments
+                .iter()
+                .flat_map(|prefix| sels.iter().map(move |sel| [&prefix[..], &[*sel]].concat()))
+                .collect();
+        }
+        for sels in &assignments {
+            let assignment: Vec<DimSel> = sels.iter().map(|(sel, _)| *sel).collect();
+            let preds: Vec<Predicate> = dims
+                .iter()
+                .zip(sels)
+                .filter_map(|(dim, (_, lit))| lit.map(|lit| Predicate::new(*dim, lit)))
+                .collect();
+            for (idx, (f, col)) in cube.aggregates.iter().enumerate() {
+                let naive = execute_query(&db, &SimpleAggregateQuery::new(*f, *col, preds.clone()))
+                    .unwrap()
+                    .map(f64::to_bits);
+                for (name, result) in &results {
+                    let merged = match f {
+                        AggFunction::CountDistinct => Some(result.get_count(&assignment, idx)),
+                        _ => result.get(&assignment, idx),
+                    };
+                    prop_assert_eq!(
+                        merged.map(f64::to_bits),
+                        naive,
+                        "[{}] {:?} at {:?}",
+                        name,
+                        f,
+                        assignment
+                    );
+                }
+            }
         }
     }
 }

@@ -96,6 +96,7 @@ proptest! {
                 (AggFunction::Max, AggColumn::Column(num)),
                 (AggFunction::Avg, AggColumn::Column(num)),
                 (AggFunction::CountDistinct, AggColumn::Column(num)),
+                (AggFunction::Median, AggColumn::Column(num)),
             ],
         };
         let result = cube.execute(&db).unwrap();
@@ -158,6 +159,102 @@ proptest! {
         let den = execute_query(&db, &total_q).unwrap().unwrap();
         let derived = aggchecker::relational::ratio_from_counts(num, den);
         prop_assert_eq!(naive, derived);
+    }
+
+    /// Medians and distinct counts over three dimensions, on the dense and
+    /// the hashed grid, equal the naive executor's bit for bit — over a
+    /// float column whose values repeat and include both zeros, so a
+    /// median's sign on a `±0` tie is checked too.
+    #[test]
+    fn median_cubes_agree_with_naive_execution(
+        rows in prop::collection::vec((0u8..4, 0u8..3, 0u8..2, prop::option::of(0usize..5)), 1..60),
+        lits in (0u8..4, 0u8..3, 0u8..2),
+    ) {
+        use aggchecker::relational::{ColumnMeta, CubeOptions, DataType, TableSchema};
+        const SCORES: [f64; 5] = [0.0, -0.0, 2.5, 2.5, -1.0];
+        let names: [&[&str]; 3] = [&["alpha", "beta", "gamma", "delta"], &["north", "south", "east"], &["gold", "tin"]];
+        let mut table = Table::new(TableSchema::new(
+            "t",
+            vec![
+                ColumnMeta::new("cat", DataType::Str),
+                ColumnMeta::new("region", DataType::Str),
+                ColumnMeta::new("tier", DataType::Str),
+                ColumnMeta::new("score", DataType::Float),
+            ],
+        ));
+        for &(c, r, t, score) in &rows {
+            table
+                .push_row(&[
+                    Value::from(names[0][c as usize]),
+                    Value::from(names[1][r as usize]),
+                    Value::from(names[2][t as usize]),
+                    score.map_or(Value::Null, |i| Value::Float(SCORES[i])),
+                ])
+                .unwrap();
+        }
+        let mut db = Database::new("prop");
+        db.add_table(table);
+        let dims: Vec<_> = ["cat", "region", "tier"].iter().map(|c| db.resolve("t", c).unwrap()).collect();
+        let score = db.resolve("t", "score").unwrap();
+        // Each dimension's drawn literal plus, for the first, a second one.
+        let picked = [
+            vec![names[0][lits.0 as usize], names[0][(lits.0 as usize + 1) % 4]],
+            vec![names[1][lits.1 as usize]],
+            vec![names[2][lits.2 as usize]],
+        ];
+        let cube = CubeQuery {
+            dims: dims.clone(),
+            relevant: picked.iter().map(|l| l.iter().map(|s| Value::from(*s)).collect()).collect(),
+            aggregates: vec![
+                (AggFunction::Median, AggColumn::Column(score)),
+                (AggFunction::CountDistinct, AggColumn::Column(score)),
+                (AggFunction::Count, AggColumn::Column(score)),
+            ],
+        };
+        let dense = cube.execute(&db).unwrap();
+        let hashed = cube
+            .execute_with(&db, &CubeOptions { dense_cell_cap: 0, ..CubeOptions::default() })
+            .unwrap();
+        // Every selector per dimension: each picked literal, then Any.
+        let mut assignments: Vec<Vec<(DimSel, Option<&str>)>> = vec![Vec::new()];
+        for lits in &picked {
+            let sels: Vec<(DimSel, Option<&str>)> = lits
+                .iter()
+                .enumerate()
+                .map(|(i, lit)| (DimSel::Literal(i), Some(*lit)))
+                .chain([(DimSel::Any, None)])
+                .collect();
+            assignments = assignments
+                .iter()
+                .flat_map(|prefix| sels.iter().map(move |sel| [&prefix[..], &[*sel]].concat()))
+                .collect();
+        }
+        for sels in &assignments {
+            let assignment: Vec<DimSel> = sels.iter().map(|(sel, _)| *sel).collect();
+            let preds: Vec<Predicate> = dims
+                .iter()
+                .zip(sels)
+                .filter_map(|(dim, (_, lit))| lit.map(|lit| Predicate::new(*dim, lit)))
+                .collect();
+            for (idx, (f, col)) in cube.aggregates.iter().enumerate() {
+                let q = SimpleAggregateQuery::new(*f, *col, preds.clone());
+                let naive = execute_query(&db, &q).unwrap().map(f64::to_bits);
+                for result in [&dense, &hashed] {
+                    let merged = match f {
+                        AggFunction::Median => result.get(&assignment, idx),
+                        _ => Some(result.get_count(&assignment, idx)),
+                    };
+                    prop_assert_eq!(
+                        merged.map(f64::to_bits),
+                        naive,
+                        "{} at {:?} ({:?})",
+                        q.to_sql(&db),
+                        assignment,
+                        result.stats.grid_mode
+                    );
+                }
+            }
+        }
     }
 
     // -----------------------------------------------------------------------
